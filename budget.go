@@ -73,20 +73,18 @@ type CheckOptions struct {
 	// rejects the flag: its precedence monitor distinguishes processes, so
 	// the reduction would be unsound there.
 	Symmetry bool
-	// Workers > 0 selects the work-stealing parallel explorer with that
-	// many goroutines; 0 keeps the sequential depth-first explorer.
-	// Workers=1 is bit-identical to sequential (verdict, witness schedule,
-	// state count, budget-trip point); at higher counts verdicts and
-	// complete-run state counts stay exact, but which witness is found
-	// first and where a budget trips become scheduling-dependent. Workers
-	// and the checkpoint fields apply to mutual-exclusion checking;
-	// CheckFCFSCtx rejects them rather than silently running sequentially.
+	// Workers sizes the work-stealing explorer's goroutine pool; 0 (the
+	// default) runs it with one worker. One worker is deterministic
+	// (verdict, witness schedule, state count, budget-trip point) and
+	// reduces hardest under POR; at higher counts verdicts and complete-run
+	// state counts stay exact (POR counts excepted), but which witness is
+	// found first and where a budget trips become scheduling-dependent.
+	// Workers and the checkpoint fields apply to mutual-exclusion checking;
+	// CheckFCFSCtx rejects them rather than silently ignoring them.
 	Workers int
 	// CheckpointPath, when non-empty, makes the exploration write periodic
-	// atomic snapshots there (and implies the parallel explorer with one
-	// worker if Workers is 0 — single-threaded, so snapshot contents and
-	// budget-trip points stay deterministic). A later ResumeMutexCheckCtx
-	// continues from the snapshot.
+	// atomic snapshots there. A later ResumeMutexCheckCtx continues from
+	// the snapshot.
 	CheckpointPath string
 	// CheckpointEvery is the snapshot cadence floor in freshly interned
 	// states (0 = the 1024 default; the interval grows geometrically with
@@ -104,19 +102,16 @@ type CheckOptions struct {
 	// rejected. The randomized fallback always searches the full
 	// semantics; liveness and FCFS checking reject the flag.
 	ReorderBound int
-	// POR enables commit-step partial-order reduction with sleep sets in
+	// POR enables commit-step partial-order reduction (ample sets) in
 	// exhaustive mutual-exclusion checking: provably independent
 	// commit/step interleavings are explored once. Verdicts and witness
 	// replayability are preserved, so a complete violation-free POR run is
-	// still a full proof (Proved stays true); state counts shrink.
-	// Liveness and FCFS checking reject the flag.
+	// still a full proof (Proved stays true); state counts shrink, most on
+	// a fresh one-worker run, whose cycle proviso checks the DFS stack
+	// rather than the visited set. Liveness and FCFS checking reject the
+	// flag.
 	POR bool
 }
-
-// parallel reports whether the options select the work-stealing explorer
-// (explicitly via Workers, or implicitly by asking for checkpoints, which
-// only that explorer writes).
-func (o CheckOptions) parallel() bool { return o.Workers > 0 || o.CheckpointPath != "" }
 
 const (
 	defaultFallbackRuns     = 2000

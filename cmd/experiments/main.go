@@ -76,7 +76,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of markdown")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
-	flag.IntVar(&workers, "workers", 0, "worker goroutines for exhaustive model checking (0 = sequential; verdicts are identical either way)")
+	flag.IntVar(&workers, "workers", 0, "worker goroutines for exhaustive model checking (0 = one; verdicts are identical either way)")
 	flag.Parse()
 
 	ctx := context.Background()
@@ -547,9 +547,10 @@ func runE15(ctx context.Context, quick bool) (*table, error) {
 			"violation-free completions are bounded certificates, never proofs). " +
 			"`states` is the visited count on complete runs and the " +
 			"states-to-witness on VIOLATED rows; `vs full` compares the two. " +
-			"With -workers > 1 the POR engine is ample-only (no sleep sets), so " +
-			"reduced counts grow but verdicts hold. The n >= 4 budget-trip rows " +
-			"live in BENCH_check.json's reduction section.",
+			"POR expands ample sets; with -workers > 1 their cycle proviso checks " +
+			"the visited set instead of the DFS stack, so reduced counts grow but " +
+			"verdicts hold. The n >= 4 budget-trip rows live in BENCH_check.json's " +
+			"reduction section.",
 		Headers: []string{"lock", "n", "model", "mode", "verdict", "states", "vs full"},
 	}
 	runOne := func(spec tradingfences.LockSpec, n int, model tradingfences.MemoryModel, por bool, bound int) (*tradingfences.MutexVerdict, error) {

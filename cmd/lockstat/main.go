@@ -39,7 +39,7 @@ func realMain() int {
 	model := flag.String("model", "pso", "memory model for -check: sc, tso, pso")
 	crashes := flag.Int("crashes", 0, "adversarial crash budget for -check (recoverable locks recover, plain locks cold-restart)")
 	states := flag.Int("states", 0, "state budget for -check (0 = unlimited)")
-	workers := flag.Int("workers", 0, "worker pool for -check (0 = sequential explorer; >1 selects the work-stealing parallel engine, 1 is its bit-identical single-threaded mode)")
+	workers := flag.Int("workers", 0, "worker pool of the work-stealing explorer for -check (0 = one worker, which is deterministic)")
 	symmetry := flag.Bool("symmetry", false, "enable process-symmetry reduction for -check (no-op for locks without a symmetry declaration)")
 	por := flag.Bool("por", false, "enable commit-step partial-order reduction for -check (verdict-preserving; a complete run is still a full proof)")
 	reorderBound := flag.Int("reorder-bound", 0, "reorder-bounded buffer semantics for -check: each buffered write may reorder past at most this many later same-process operations (0 = full semantics; a violation-free bounded run is a bounded certificate, not a proof)")

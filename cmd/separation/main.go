@@ -10,8 +10,8 @@
 // -crashes grants the checker an adversarial crash budget, and -replay
 // re-executes a previously saved artifact (bit-for-bit certified).
 //
-// -workers runs the -witness check on the parallel explorer (verdicts are
-// bit-identical to the sequential one for every worker count). -checkpoint
+// -workers sizes the explorer's worker pool for the -witness check
+// (verdicts are identical for every worker count). -checkpoint
 // additionally snapshots the exploration to a file and runs it under the
 // retrying supervisor; a killed run is continued with
 // -resume-check <file>, which re-certifies the snapshot — subject
@@ -47,7 +47,7 @@ func main() {
 	replay := flag.String("replay", "", "replay a witness artifact file and exit")
 	liveness := flag.Bool("liveness", false, "also verify deadlock freedom and weak obstruction-freedom of the correct locks")
 	fcfs := flag.Bool("fcfs", false, "also check first-come-first-served fairness (Bakery vs GT_2)")
-	workers := flag.Int("workers", 0, "worker goroutines for the -witness check (0 = sequential explorer)")
+	workers := flag.Int("workers", 0, "worker goroutines for the -witness check (0 = one worker)")
 	checkpoint := flag.String("checkpoint", "", "snapshot the -witness check to this file and run it under the retrying supervisor")
 	resumeCheck := flag.String("resume-check", "", "resume a checkpointed check from this snapshot file and exit")
 	flag.Parse()

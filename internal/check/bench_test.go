@@ -11,7 +11,7 @@ import (
 
 // BenchmarkExhaustive measures full state-space exploration of the
 // two-process Bakery subject under PSO (the heaviest cell of the
-// separation matrix).
+// separation matrix) through Exhaustive, the engine at one worker.
 func BenchmarkExhaustive(b *testing.B) {
 	s, err := NewMutexSubject("bakery", locks.NewBakery, 2, 1)
 	if err != nil {
@@ -29,10 +29,9 @@ func BenchmarkExhaustive(b *testing.B) {
 	}
 }
 
-// BenchmarkExhaustiveParallel measures the level-synchronous parallel
-// explorer on the same subject at increasing worker counts (1, 2,
-// NumCPU), for comparison against the sequential BenchmarkExhaustive.
-// Results for every worker count are bit-identical; only wall time may
+// BenchmarkExhaustiveParallel measures the work-stealing engine on the
+// same subject at increasing worker counts (1, 2, NumCPU). Complete-run
+// state counts are identical for every worker count; only wall time may
 // differ. Recorded in BENCH_check.json at the repo root.
 func BenchmarkExhaustiveParallel(b *testing.B) {
 	s, err := NewMutexSubject("bakery", locks.NewBakery, 2, 1)

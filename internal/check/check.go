@@ -168,11 +168,12 @@ type Result struct {
 	// the bound instead. Violations are genuine regardless: a bounded
 	// witness replays identically under the full semantics.
 	ReorderBound int
-	// PORApplied reports that commit-step partial-order/sleep-set
-	// reduction was in force; States then counts the reduced graph.
-	// Verdicts are preserved exactly (the reduction is sound for the
-	// occupancy invariant), so a Complete violation-free POR run is still
-	// a full proof.
+	// PORApplied reports that ample-set partial-order reduction was in
+	// force; States then counts the reduced graph, which depends on the
+	// cycle proviso the run used (see ExhaustiveParallel). Verdicts are
+	// preserved exactly (the reduction is sound for the occupancy
+	// invariant), so a Complete violation-free POR run is still a full
+	// proof.
 	PORApplied bool
 	// Passages aggregates recoverable-passage RMR accounting when the
 	// subject declares passage probes (nil otherwise, and nil on resumed
@@ -182,10 +183,10 @@ type Result struct {
 	// and different explorers (or worker counts) may report different
 	// (equally valid) watermarks.
 	Passages *machine.PassageStats
-	// Engine reports the work-stealing parallel engine's behavior
-	// (steals, parks, batched lookups, snapshots written) when the check
-	// ran through ExhaustiveParallel; nil for the sequential and random
-	// checkers.
+	// Engine reports the work-stealing engine's behavior (workers,
+	// steals, parks, batched lookups, snapshots written). Every exhaustive
+	// run sets it — Exhaustive is the engine at one worker; nil for the
+	// random checker.
 	Engine *EngineStats
 }
 
@@ -216,12 +217,6 @@ func fillPassages(res *Result, log *machine.PassageLog) {
 // string-length heuristic.
 const stateKeyOverhead = 48
 
-// legacyStringKeys is a test-only hook: when set, Exhaustive keys its
-// visited set on the legacy string fingerprint bytes instead of the
-// binary codec, so parity tests can compare verdicts and state counts of
-// the two partitions in-process.
-var legacyStringKeys = false
-
 // keyer computes visited-set keys: a canonical binary state encoding into
 // a reusable scratch buffer, the spent crash budget folded in, hashed to
 // a fixed 128-bit key. One keyer per worker goroutine; a keyer is not
@@ -232,11 +227,10 @@ type keyer struct {
 	sym     *machine.SymmetrySpec
 	wantSym bool
 	cz      *machine.Canonicalizer
-	legacy  bool
 }
 
 func (s *Subject) newKeyer(opts Opts) *keyer {
-	return &keyer{wantSym: opts.Symmetry && s.Sym != nil, sym: s.Sym, legacy: legacyStringKeys}
+	return &keyer{wantSym: opts.Symmetry && s.Sym != nil, sym: s.Sym}
 }
 
 // reduces reports whether a non-trivial symmetry reduction is in force.
@@ -245,17 +239,12 @@ func (k *keyer) reduces() bool { return k.wantSym }
 func (k *keyer) key(c *machine.Config, crashes, maxCrashes int) (machine.StateKey, error) {
 	k.buf = k.buf[:0]
 	var err error
-	switch {
-	case k.legacy:
-		var fp string
-		fp, err = c.Fingerprint()
-		k.buf = append(k.buf, fp...)
-	case k.wantSym:
+	if k.wantSym {
 		if k.cz == nil {
 			k.cz = machine.NewCanonicalizer(c.Layout(), c.N(), k.sym)
 		}
 		k.buf, err = k.cz.AppendCanonicalStateBytes(c, k.buf)
-	default:
+	} else {
 		k.buf, err = k.enc.AppendStateBytes(c, k.buf)
 	}
 	if err != nil {
@@ -284,129 +273,18 @@ func (k *keyer) key(c *machine.Config, crashes, maxCrashes int) (machine.StateKe
 // other schedule element, so witnesses of crashed executions replay and
 // minimize unchanged.
 //
-// The search walks a single configuration with an undo trail instead of
-// cloning per candidate edge: each transition is taken in place with
-// machine.Config.StepUndo and rolled back with Undo.Revert on backtrack.
-// Enumeration order (⊥, committable registers ascending, crash) and budget
-// metering are identical to the historical clone-per-edge search, so
-// verdicts, witnesses, state counts and budget-trip points are bit-for-bit
-// unchanged — the clone-vs-undo parity suite in parity_test.go holds the
-// two explorers equal.
+// Exhaustive is the work-stealing engine (ExhaustiveParallel) at one
+// worker; opts.Workers is ignored. The worker walks a single configuration
+// with an undo trail instead of cloning per candidate edge: each
+// transition is taken in place with machine.Config.StepUndo and rolled
+// back with Undo.Revert on backtrack. Enumeration order (⊥, committable
+// registers ascending, crash) and budget metering are those of the
+// historical clone-per-edge search, so verdicts, witnesses, state counts
+// and budget-trip points are bit-for-bit the same — the parity suite in
+// parity_test.go holds the engine equal to a clone-per-edge reference.
 func (s *Subject) Exhaustive(ctx context.Context, model machine.Model, opts Opts) (Result, error) {
-	if err := opts.Reduction.validate(); err != nil {
-		return Result{}, err
-	}
-	if opts.Reduction.POR {
-		// Partial-order reduction restructures the successor enumeration;
-		// it lives in its own walker (por.go) so the unreduced path below
-		// stays bit-identical to the historical explorer.
-		return s.exhaustivePOR(ctx, model, opts)
-	}
-	maxCrashes, err := opts.exhaustiveCrashBudget()
-	if err != nil {
-		return Result{}, err
-	}
-	root, err := s.Build(model)
-	if err != nil {
-		return Result{}, err
-	}
-	root.SetReorderBound(opts.Reduction.ReorderBound)
-	plog := s.attachPassages(root)
-	meter := run.NewMeter(ctx, opts.Budget)
-	visited := make(map[machine.StateKey]struct{}, 1024)
-	kr := s.newKeyer(opts)
-	res := Result{Complete: true, SymmetryApplied: kr.reduces(), ReorderBound: root.ReorderBound()}
-
-	// Reusable scratch, hoisted out of the per-state loop: one successor
-	// slice per recursion depth (a depth's slice stays live across the
-	// recursive calls issued while iterating it), a single register slice
-	// (consumed before recursing) and a single occupancy slice (consumed
-	// before recursing).
-	var elemScratch [][]machine.Elem
-	regScratch := make([]machine.Reg, 0, 8)
-	inScratch := make([]int, 0, root.N())
-
-	var dfs func(c *machine.Config, path machine.Schedule, crashes, depth int) (bool, error)
-	dfs = func(c *machine.Config, path machine.Schedule, crashes, depth int) (bool, error) {
-		key, err := kr.key(c, crashes, maxCrashes) // settles all processes
-		if err != nil {
-			return false, err
-		}
-		if _, seen := visited[key]; seen {
-			return false, nil
-		}
-		if err := meter.AddState(machine.StateKeySize + stateKeyOverhead); err != nil {
-			return false, err
-		}
-		visited[key] = struct{}{}
-
-		in, err := s.occupancyInto(c, inScratch[:0])
-		if err != nil {
-			return false, err
-		}
-		inScratch = in[:0]
-		if len(in) >= 2 {
-			res.Violation = true
-			res.Witness = append(machine.Schedule(nil), path...)
-			res.InCS = append([]int(nil), in...)
-			return true, nil
-		}
-
-		if depth >= len(elemScratch) {
-			elemScratch = append(elemScratch, make([]machine.Elem, 0, 8))
-		}
-		for p := 0; p < c.N(); p++ {
-			if c.Halted(p) {
-				continue
-			}
-			elems := append(elemScratch[depth][:0], machine.PBottom(p))
-			regScratch = c.AppendBufferRegs(p, regScratch[:0])
-			for _, r := range regScratch {
-				if c.CanCommit(p, r) {
-					elems = append(elems, machine.PReg(p, r))
-				}
-			}
-			if crashes < maxCrashes {
-				elems = append(elems, machine.PCrash(p))
-			}
-			elemScratch[depth] = elems
-			for _, e := range elems {
-				if err := meter.AddStep(); err != nil {
-					return false, err
-				}
-				_, took, u, err := c.StepUndo(e)
-				if err != nil {
-					return false, err
-				}
-				if !took {
-					continue
-				}
-				nc := crashes
-				if e.Crash {
-					nc++
-				}
-				found, err := dfs(c, append(path, e), nc, depth+1)
-				u.Revert()
-				if err != nil || found {
-					return found, err
-				}
-			}
-		}
-		return false, nil
-	}
-
-	if _, err := dfs(root, nil, 0, 0); err != nil {
-		res.States = len(visited)
-		res.Complete = false
-		fillPassages(&res, plog)
-		return res, err
-	}
-	res.States = len(visited)
-	if res.Violation {
-		res.Complete = false
-	}
-	fillPassages(&res, plog)
-	return res, nil
+	opts.Workers = 1
+	return s.runWS(ctx, model, opts, nil)
 }
 
 // Random drives the subject with `runs` random schedules of up to maxSteps

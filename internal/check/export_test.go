@@ -1,0 +1,6 @@
+package check
+
+// CloneExhaustive exposes the clone-per-edge reference walker to the
+// external test package, whose tests build subjects (internal/rme) that
+// this package cannot import.
+var CloneExhaustive = cloneExhaustive

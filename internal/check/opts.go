@@ -45,14 +45,16 @@ type Opts struct {
 	// force.
 	Symmetry bool
 
-	// Workers sizes the worker pool of the work-stealing parallel
-	// explorer (ExhaustiveParallel). 0 resolves to runtime.NumCPU();
-	// an explicit 1 runs single-threaded, which is bit-identical to the
-	// sequential Exhaustive (verdict, witness schedule, state count and
-	// budget-trip point). With more than one worker, verdicts and
-	// complete-run state counts stay exact, but which witness is found
-	// first and where a budget trips become scheduling-dependent. Negative
-	// values behave like 1. The recursive Exhaustive ignores this field.
+	// Workers sizes the worker pool of the work-stealing engine
+	// (ExhaustiveParallel). 0 resolves to runtime.NumCPU(); an explicit 1
+	// runs single-threaded, which is exactly Exhaustive (verdict, witness
+	// schedule, state count and budget-trip point) and, under POR, the
+	// only setting whose fresh runs use the on-stack cycle proviso. With
+	// more than one worker, verdicts and complete-run state counts stay
+	// exact (reduced counts excepted), but which witness is found first and
+	// where a budget trips become scheduling-dependent. Negative values
+	// behave like 1. Exhaustive ignores this field: it always runs one
+	// worker.
 	Workers int
 
 	// Checkpoint enables periodic snapshots of the parallel explorer's
@@ -71,7 +73,7 @@ type Opts struct {
 	WorkerFault func(level, worker int) error
 
 	// Reduction selects the opt-in certified state-space reductions for
-	// exhaustive mutual-exclusion exploration (sequential and parallel).
+	// exhaustive mutual-exclusion exploration (at every worker count).
 	// The zero value is bit-identical to the unreduced explorers. Both
 	// modes are certified into checkpoint snapshots (schema v5): a resume
 	// whose reduction modes differ from the snapshot's fails closed with
@@ -102,14 +104,15 @@ type Reduction struct {
 	// reports as ReorderBound = 0 in the result.
 	ReorderBound int
 
-	// POR enables commit-step partial-order reduction with sleep sets:
-	// singleton ample sets over processes whose next operation is
-	// process-local (a buffered write under TSO/PSO, a fence over an empty
-	// buffer, a return), guarded by an in-CS visibility check and a cycle
-	// proviso, plus sleep-set pruning of independent commit-commit
-	// interleavings. Verdicts and witness replayability are preserved
-	// (parity suite); state counts shrink. Complete violation-free runs
-	// remain full proofs.
+	// POR enables commit-step partial-order reduction: singleton ample
+	// sets over processes whose next operation is process-local (a
+	// buffered write under TSO/PSO, a fence over an empty buffer, a
+	// return), guarded by an in-CS visibility check and a cycle proviso.
+	// The proviso checks the DFS stack on a fresh one-worker run and the
+	// visited set otherwise (more workers, or a resumed run), so reduced
+	// state counts depend on the worker count. Verdicts and witness
+	// replayability are preserved (parity suite); state counts shrink.
+	// Complete violation-free runs remain full proofs.
 	POR bool
 }
 

@@ -1,7 +1,7 @@
-// Parallel exhaustive exploration: a work-stealing DFS over the subject's
-// state space. Each worker owns one flat machine.Config plus a private
-// undo trail (the same machinery the sequential explorer rides) and walks
-// a subtree depth-first, stepping transitions in place and reverting them
+// Exhaustive exploration: a work-stealing DFS over the subject's state
+// space. Each worker owns one flat machine.Config plus a private undo
+// trail (machine.Config.StepUndo / Undo.Revert) and walks a subtree
+// depth-first, stepping transitions in place and reverting them
 // on backtrack — no per-edge cloning, no per-level barrier. Load balance
 // comes from stealing: a worker that observes idle peers donates the
 // shallowest unexplored edge of its stack as a schedule prefix (never a
@@ -14,12 +14,16 @@
 // the key, independent of the worker count), a shared budget meter
 // (run.SharedMeter), and a mutex-protected steal queue.
 //
-// Determinism contract. With Workers=1 the engine is bit-identical to the
-// sequential Exhaustive: one worker, no donations, the same canonical
-// successor order and the same charge order, so verdict, witness schedule,
-// state count and budget-trip point all match (parity_test.go pins this).
-// With Workers>1 the verdict and — on complete runs — the state count and
-// step total are still exact, but traversal order is scheduling-dependent:
+// This is the only exhaustive mutual-exclusion walker: Exhaustive runs it
+// at one worker.
+//
+// Determinism contract. With Workers=1 the engine is deterministic: one
+// worker, no donations, the canonical successor order and charges at
+// descent, so verdict, witness schedule, state count and budget-trip point
+// are the same on every run — and, without reductions, bit-identical to
+// the clone-per-edge reference walker of parity_test.go. With Workers>1
+// the verdict and — on complete unreduced runs — the state count and step
+// total are still exact, but traversal order is scheduling-dependent:
 // which violation witness is found first, and where a budget trips, may
 // vary between runs. Snapshots taken by this engine are certified as an
 // explicit mode in checkpoint schema v4 (Checkpoint.Engine); level-sync v2
@@ -113,14 +117,15 @@ type wsStackFrame struct {
 // elements. keys caches the successors' StateKeys when the batched
 // pre-pass ran (Workers>1 fresh frames); keys == nil marks the direct
 // flavor (Workers=1, and adopted checkpoint frames), whose step charges
-// happen at descent — the exact sequential charge order.
+// happen at descent — the reference walker's exact charge order.
 type wsFrame struct {
 	elems   []machine.Elem
 	keys    []machine.StateKey
-	next    int // cursor: elems[next:end] are pending
-	end     int // donations shrink end from the right
-	crashes int // crash budget spent at this frame's node
-	depth   int // len(path) at this frame's node
+	key     machine.StateKey // the node's own key (on-stack cycle proviso)
+	next    int              // cursor: elems[next:end] are pending
+	end     int              // donations shrink end from the right
+	crashes int              // crash budget spent at this frame's node
+	depth   int              // len(path) at this frame's node
 }
 
 // wsEngine is the shared coordination state of one run.
@@ -140,6 +145,10 @@ type wsEngine struct {
 	symmetry   bool
 	bound      int  // resolved reorder bound (0 under SC: honest no-op)
 	por        bool // ample-set partial-order reduction in force
+	// stackProviso selects the ample cycle proviso: on a fresh one-worker
+	// run an ample successor is rejected only when it is on the DFS stack;
+	// otherwise (more workers, or any resumed run) when it is visited.
+	stackProviso bool
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -201,19 +210,18 @@ type wsWorker struct {
 //     via ResumeExhaustiveParallel instead of restarting from zero.
 //
 // Budgets and cancellation behave like Exhaustive: partial results return
-// together with a structured error. Workers=1 is bit-identical to the
-// sequential Exhaustive — verdict, witness, state count and budget-trip
-// point. Workers>1 keeps verdicts, complete-run state counts and step
-// totals exact, but which witness is found and where a budget trips become
-// scheduling-dependent (see the package comment).
+// together with a structured error. Workers=1 is Exhaustive itself —
+// verdict, witness, state count and budget-trip point. Workers>1 keeps
+// verdicts, complete-run state counts and step totals exact, but which
+// witness is found and where a budget trips become scheduling-dependent
+// (see the package comment).
 //
-// Opts.Reduction applies here too, with one asymmetry: under POR this
-// engine runs ample sets only (no sleep sets — their covered-for
-// bookkeeping races the shared visited set; see DESIGN.md §5j) and checks
-// the cycle proviso against the visited set instead of a DFS stack.
-// Verdicts still match the sequential and unreduced explorers, but reduced
-// state counts differ from the sequential POR walker — even at Workers=1 —
-// and become scheduling-dependent at Workers>1.
+// Under Opts.Reduction.POR the engine expands ample sets (see por.go). The
+// cycle proviso follows the run: a fresh one-worker run rejects an ample
+// successor on its own DFS stack, while runs with more workers — which
+// share no stack — reject any visited one. Verdicts match the unreduced
+// explorer either way, but the visited proviso reduces less, and at
+// Workers>1 its state counts are scheduling-dependent.
 func (s *Subject) ExhaustiveParallel(ctx context.Context, model machine.Model, opts Opts) (Result, error) {
 	return s.runWS(ctx, model, opts, nil)
 }
@@ -224,7 +232,8 @@ func (s *Subject) ExhaustiveParallel(ctx context.Context, model machine.Model, o
 // mode and the engine must match (ErrCheckpointDrift otherwise), and every
 // pending schedule must replay on a fresh build. Meter usage is preloaded
 // so opts.Budget spans the whole logical run; the wall clock restarts (see
-// run.SharedMeter.Preload).
+// run.SharedMeter.Preload). A resumed POR run checks the visited-set cycle
+// proviso at every worker count (DESIGN.md §5j).
 func (s *Subject) ResumeExhaustiveParallel(ctx context.Context, model machine.Model, ck *Checkpoint, opts Opts) (Result, error) {
 	maxCrashes, err := opts.exhaustiveCrashBudget()
 	if err != nil {
@@ -269,6 +278,7 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 		e.bound = opts.Reduction.ReorderBound
 	}
 	e.por = opts.Reduction.POR
+	e.stackProviso = e.por && workers == 1 && rs == nil
 	res := Result{
 		Complete:        true,
 		SymmetryApplied: e.symmetry,
@@ -711,11 +721,7 @@ func (w *wsWorker) pushFrame(crashes int) *wsFrame {
 		w.frames = append(w.frames, wsFrame{})
 	}
 	f := &w.frames[n]
-	f.elems = f.elems[:0]
-	f.keys = nil
-	f.next, f.end = 0, 0
-	f.crashes = crashes
-	f.depth = len(w.path)
+	*f = wsFrame{elems: f.elems[:0], crashes: crashes, depth: len(w.path)}
 	return f
 }
 
@@ -838,7 +844,7 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 // visit interns and expands the configuration the worker currently sits
 // at. Returns pushed=false when the state was already visited (the caller
 // backtracks its edge). On a limit error the interning is rolled back so
-// the interned count sits exactly at the budget cap — the sequential trip
+// the interned count sits exactly at the budget cap — the one-worker trip
 // point — and the caller re-queues the edge for resume.
 func (w *wsWorker) visit(crashes int, key machine.StateKey, haveKey bool) (pushed bool, err error) {
 	e := w.e
@@ -872,17 +878,17 @@ func (w *wsWorker) visit(crashes int, key machine.StateKey, haveKey bool) (pushe
 // expand enumerates the current configuration's successors in the
 // canonical order (per process: ⊥, committable registers ascending, crash)
 // into a fresh frame. At Workers>1 the successors are pre-screened: every
-// element's step is charged up front (the same elements the sequential
-// explorer charges), taken successors are keyed via a speculative
-// step+revert, and a single batched visited-set lookup drops the
-// already-known majority before they ever reach the stack — cutting both
-// lock traffic and redundant replay. At Workers=1 the frame stays lazy
-// (keys == nil) and charges happen at descent, preserving the sequential
-// charge order bit-for-bit.
+// element's step is charged up front (the same elements a one-worker run
+// charges), taken successors are keyed via a speculative step+revert, and
+// a single batched visited-set lookup drops the already-known majority
+// before they ever reach the stack — cutting both lock traffic and
+// redundant replay. At Workers=1 the frame stays lazy (keys == nil) and
+// charges happen at descent, in the reference walker's charge order.
 func (w *wsWorker) expand(crashes int, nodeKey machine.StateKey) (bool, error) {
 	e := w.e
 	c := w.cfg
 	f := w.pushFrame(crashes)
+	f.key = nodeKey
 	ample := false
 	if e.por {
 		var err error
@@ -989,16 +995,11 @@ func (w *wsWorker) expand(crashes int, nodeKey machine.StateKey) (bool, error) {
 // buffer poised at a buffered write, fence or return touches only its own
 // state). On success the frame is pre-populated with just that process's
 // transitions and true is returned; the caller then runs the normal charge
-// and pre-filter machinery over them. Guards mirror the sequential POR
-// walker, except the cycle proviso: workers share no DFS stack, so an
-// ample successor already in the *visited set* forces full expansion. That
-// is strictly more conservative than the sequential on-stack check (the
-// stack is a subset of visited) and stays sound under work stealing and
-// checkpoint resume: in any cycle of the reduced graph, the node interned
-// last probes after every other cycle member was interned, sees a visited
-// successor, and expands fully. It also makes reduced state counts at
-// Workers>1 scheduling-dependent — racing workers tilt individual proviso
-// probes — unlike the unreduced engine's exact counts.
+// and pre-filter machinery over them. Every ample element must take, must
+// not move the ample process into the critical section (invisibility), and
+// must not close a cycle (closesCycle). Probe steps are speculative —
+// reverted, not metered — and none of the ample operation kinds touches
+// the passage log, so RME watermarks see no phantom records.
 func (w *wsWorker) tryAmple(f *wsFrame, crashes int) (bool, error) {
 	e := w.e
 	c := w.cfg
@@ -1039,12 +1040,34 @@ func (w *wsWorker) tryAmple(f *wsFrame, crashes int) (bool, error) {
 			}
 		}
 		u.Revert()
-		if in || e.visited.Has(key) {
+		if in || w.closesCycle(key) {
 			return false, nil
 		}
 	}
 	f.elems = elems
 	return true, nil
+}
+
+// closesCycle is the ample set's cycle proviso (Holzmann–Peled). A fresh
+// one-worker run checks the successor against its own DFS stack. Workers
+// that share no stack, and resumed runs whose stack predates the resume,
+// check the visited set instead: in any cycle of the reduced graph the
+// node interned last probes after every other member was interned, sees a
+// visited successor, and expands fully. The visited check is strictly
+// more conservative (the stack is a subset of visited) and also makes
+// reduced counts at Workers>1 scheduling-dependent. DESIGN.md §5j argues
+// why a run may hand off from the stack check to the visited check at a
+// resume, but never the other way.
+func (w *wsWorker) closesCycle(key machine.StateKey) bool {
+	if !w.e.stackProviso {
+		return w.e.visited.Has(key)
+	}
+	for i := range w.frames {
+		if w.frames[i].key == key {
+			return true
+		}
+	}
+	return false
 }
 
 // explore runs the DFS loop over the worker's frame stack until it

@@ -70,21 +70,21 @@ func requireReplayViolation(t *testing.T, s *Subject, m machine.Model, w machine
 }
 
 // Workers=1 is the engine's deterministic anchor: bit-identical to the
-// sequential Exhaustive in verdict, witness schedule and state count, for
+// clone reference walker in verdict, witness schedule and state count, for
 // every seed lock/model pair.
 func TestParallelWorkersOneMatchesSequential(t *testing.T) {
 	for _, tc := range seedPairs {
 		for _, m := range allModels {
 			s := mustSubject(t, tc.name, tc.ctor, tc.n)
-			seq, err := s.Exhaustive(bg(), m, Opts{})
+			ref, err := cloneExhaustive(bg(), s, m, Opts{})
 			if err != nil {
-				t.Fatalf("%s/%v sequential: %v", tc.name, m, err)
+				t.Fatalf("%s/%v reference: %v", tc.name, m, err)
 			}
 			par, err := s.ExhaustiveParallel(bg(), m, Opts{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s/%v workers=1: %v", tc.name, m, err)
 			}
-			requireSameResult(t, tc.name+"/"+m.String(), seq, par)
+			requireSameResult(t, tc.name+"/"+m.String(), ref, par)
 			if par.Engine == nil || par.Engine.Workers != 1 {
 				t.Fatalf("%s/%v: missing or wrong EngineStats: %+v", tc.name, m, par.Engine)
 			}
@@ -152,14 +152,14 @@ func TestWorkerCountResolution(t *testing.T) {
 	}
 }
 
-// The parallel explorer must agree with the recursive DFS explorer on
-// every verdict, and on the exact state count for complete runs (both
-// cover the full reachable space).
+// The parallel explorer must agree with the recursive clone reference
+// walker on every verdict, and on the exact state count for complete runs
+// (both cover the full reachable space).
 func TestParallelAgreesWithRecursive(t *testing.T) {
 	for _, tc := range seedPairs {
 		for _, m := range allModels {
 			s := mustSubject(t, tc.name, tc.ctor, tc.n)
-			dfs, err := s.Exhaustive(bg(), m, Opts{})
+			dfs, err := cloneExhaustive(bg(), s, m, Opts{})
 			if err != nil {
 				t.Fatalf("%s/%v dfs: %v", tc.name, m, err)
 			}
@@ -172,7 +172,7 @@ func TestParallelAgreesWithRecursive(t *testing.T) {
 					tc.name, m, dfs.Violation, dfs.Complete, par.Violation, par.Complete)
 			}
 			if dfs.Complete && dfs.States != par.States {
-				// On proofs both engines cover the full reachable space;
+				// On proofs both walkers cover the full reachable space;
 				// on violations each stops at its first counterexample,
 				// so the partial counts legitimately differ.
 				t.Fatalf("%s/%v: dfs visited %d states, parallel %d", tc.name, m, dfs.States, par.States)
@@ -185,7 +185,7 @@ func TestParallelAgreesWithRecursive(t *testing.T) {
 }
 
 // Parallel exploration with an adversarial crash budget: workers=1 is
-// bit-identical to the sequential explorer, and the multi-worker proof
+// bit-identical to the clone reference walker, and the multi-worker proof
 // covers the identical state count (crash counts are folded into the
 // visited keys, so the space itself is worker-count invariant).
 func TestParallelCrashBudgetInvariance(t *testing.T) {
@@ -193,7 +193,7 @@ func TestParallelCrashBudgetInvariance(t *testing.T) {
 	opts := func(w int) Opts {
 		return Opts{Workers: w, Faults: &machine.FaultPlan{MaxCrashes: 1}}
 	}
-	dfs, err := s.Exhaustive(bg(), machine.PSO, Opts{Faults: &machine.FaultPlan{MaxCrashes: 1}})
+	ref, err := cloneExhaustive(bg(), s, machine.PSO, Opts{Faults: &machine.FaultPlan{MaxCrashes: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestParallelCrashBudgetInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "peterson/PSO crashes=1 workers=1", dfs, base)
+	requireSameResult(t, "peterson/PSO crashes=1 workers=1", ref, base)
 	got, err := s.ExhaustiveParallel(bg(), machine.PSO, opts(runtime.NumCPU()))
 	if err != nil {
 		t.Fatal(err)
@@ -333,19 +333,19 @@ func TestCheckpointCrossProcessResumeSameVerdict(t *testing.T) {
 	}
 }
 
-// Budget trips surface the same structured errors as the recursive
-// explorer with the partial result attached. The interned count sits
-// exactly at the cap for every worker count (over-cap internings are
-// rolled back), and workers=1 trips at the bit-identical sequential point.
+// Budget trips surface the same structured errors as the clone reference
+// walker with the partial result attached. The interned count sits exactly
+// at the cap for every worker count (over-cap internings are rolled back),
+// and workers=1 trips at the reference walker's point.
 func TestParallelBudgetTripDeterministic(t *testing.T) {
 	s := mustSubject(t, "bakery", locks.NewBakery, 2)
 	opts := func(w int) Opts {
 		return Opts{Workers: w, Budget: run.Budget{MaxStates: 500}}
 	}
-	seq, seqErr := s.Exhaustive(bg(), machine.PSO, Opts{Budget: run.Budget{MaxStates: 500}})
+	seq, seqErr := cloneExhaustive(bg(), s, machine.PSO, Opts{Budget: run.Budget{MaxStates: 500}})
 	var be *run.BudgetError
 	if !errors.As(seqErr, &be) || be.Resource != "states" {
-		t.Fatalf("sequential: want states BudgetError, got %v", seqErr)
+		t.Fatalf("reference: want states BudgetError, got %v", seqErr)
 	}
 	base, err := s.ExhaustiveParallel(bg(), machine.PSO, opts(1))
 	if !errors.As(err, &be) || be.Resource != "states" {
@@ -354,9 +354,7 @@ func TestParallelBudgetTripDeterministic(t *testing.T) {
 	if base.Complete {
 		t.Fatal("tripped run must not report completeness")
 	}
-	if base.States != seq.States {
-		t.Fatalf("workers=1 tripped at %d states, sequential at %d", base.States, seq.States)
-	}
+	requireSameResult(t, "workers=1 budget trip", seq, base)
 	for _, w := range []int{2, runtime.NumCPU()} {
 		got, err := s.ExhaustiveParallel(bg(), machine.PSO, opts(w))
 		if !errors.As(err, &be) {
@@ -399,7 +397,7 @@ func TestParallelWorkerFaultFailsClosed(t *testing.T) {
 
 // Multi-worker runs on a big enough space actually steal: the engine's
 // counters show work moving between workers, and the complete-run state
-// count still matches the sequential explorer exactly.
+// count still matches the one-worker run exactly.
 func TestParallelStealsAndStaysExact(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("single-CPU runner: no parallelism to observe")
@@ -417,7 +415,7 @@ func TestParallelStealsAndStaysExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !par.Complete || par.States != seq.States {
-		t.Fatalf("parallel proof diverged: complete=%v states=%d vs sequential %d",
+		t.Fatalf("parallel proof diverged: complete=%v states=%d vs one worker %d",
 			par.Complete, par.States, seq.States)
 	}
 	es := par.Engine

@@ -2,7 +2,9 @@ package check
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,7 +15,7 @@ import (
 )
 
 // parityPairs is the lock suite for key-partition parity: every lock
-// family in internal/locks at a process count the sequential explorer
+// family in internal/locks at a process count the clone reference walker
 // exhausts quickly under all three models.
 var parityPairs = []struct {
 	name string
@@ -30,15 +32,6 @@ var parityPairs = []struct {
 	{"bakery-nofence", locks.NewBakeryNoFence, 2, false},
 	{"tournament", locks.NewTournament, 2, false},
 	{"filter", locks.NewFilter, 2, false},
-}
-
-// withLegacyKeys runs f with the explorer keying its visited set on the
-// legacy string fingerprint instead of the binary codec.
-func withLegacyKeys(t *testing.T, f func()) {
-	t.Helper()
-	legacyStringKeys = true
-	defer func() { legacyStringKeys = false }()
-	f()
 }
 
 // requireViolationReplays replays a witness schedule and demands that it
@@ -65,23 +58,23 @@ func requireViolationReplays(t *testing.T, what string, s *Subject, model machin
 }
 
 // TestBinaryKeysMatchLegacyPartition: the binary codec partitions states
-// exactly like the legacy string fingerprint, so keying the same DFS on
-// either must produce bit-identical verdicts, witness schedules and
-// visited-state counts across the whole lock suite and all three models.
+// exactly like the legacy string fingerprint (Config.Fingerprint, the
+// reference keying), so the engine and the clone reference walker keyed on
+// fingerprints must produce bit-identical verdicts, witness schedules,
+// co-residency sets and visited-state counts across the whole lock suite
+// and all three models.
 func TestBinaryKeysMatchLegacyPartition(t *testing.T) {
 	for _, tc := range parityPairs {
 		for _, m := range allModels {
+			what := tc.name + "/" + m.String()
 			s := mustSubject(t, tc.name, tc.ctor, tc.n)
 			binary, berr := s.Exhaustive(bg(), m, Opts{})
-			var legacy Result
-			var lerr error
-			withLegacyKeys(t, func() {
-				legacy, lerr = s.Exhaustive(bg(), m, Opts{})
-			})
+			legacy, lerr := cloneWalk(bg(), s, m, Opts{}, fingerprintKey)
 			if (berr == nil) != (lerr == nil) {
-				t.Fatalf("%s/%v: error mismatch: %v vs %v", tc.name, m, berr, lerr)
+				t.Fatalf("%s: error mismatch: %v vs %v", what, berr, lerr)
 			}
-			requireSameResult(t, tc.name+"/"+m.String(), binary, legacy)
+			requireSameResult(t, what, binary, legacy)
+			requireSameInCS(t, what, binary, legacy)
 		}
 	}
 }
@@ -96,11 +89,7 @@ func TestBinaryKeysMatchLegacyAtBudgetTrip(t *testing.T) {
 	if !run.IsLimit(berr) {
 		t.Fatalf("budget did not trip: %v", berr)
 	}
-	var legacy Result
-	var lerr error
-	withLegacyKeys(t, func() {
-		legacy, lerr = s.Exhaustive(bg(), machine.PSO, statesOpt(cap))
-	})
+	legacy, lerr := cloneWalk(bg(), s, machine.PSO, statesOpt(cap), fingerprintKey)
 	if !run.IsLimit(lerr) {
 		t.Fatalf("legacy budget did not trip: %v", lerr)
 	}
@@ -151,7 +140,7 @@ func TestSymmetryVerdictParity(t *testing.T) {
 }
 
 // TestSymmetryParallelParity: the parallel explorer applies the same
-// orbit keys — verdict and orbit count match the sequential symmetric
+// orbit keys — verdict and orbit count match the one-worker symmetric
 // run on proved subjects, and violations carry replayable witnesses.
 func TestSymmetryParallelParity(t *testing.T) {
 	s := mustSubject(t, "peterson", locks.NewPeterson, 2)
@@ -260,14 +249,36 @@ func TestSymmetryCheckpointCertification(t *testing.T) {
 	}
 }
 
-// cloneExhaustive is the historical clone-per-edge exhaustive search,
-// reimplemented as a test reference: identical enumeration order (⊥,
-// committable registers ascending, crash), identical keying and identical
-// budget metering to Subject.Exhaustive — but every candidate edge is taken
-// on a fresh clone instead of in place with StepUndo/Revert. The
-// production explorer must match it bit for bit, including at budget-trip
-// points.
+// fingerprintKey keys a state on its legacy string fingerprint, the
+// reference partition the binary codec must reproduce.
+func fingerprintKey(c *machine.Config, crashes, maxCrashes int) (machine.StateKey, error) {
+	fp, err := c.Fingerprint()
+	if err != nil {
+		return machine.StateKey{}, err
+	}
+	buf := []byte(fp)
+	if maxCrashes > 0 {
+		buf = binary.AppendUvarint(buf, uint64(crashes))
+	}
+	return machine.HashStateKey(buf), nil
+}
+
+// cloneExhaustive is the historical clone-per-edge exhaustive search, kept
+// as the executable spec of the engine: identical enumeration order (⊥,
+// committable registers ascending, crash), identical keying, identical
+// budget metering and passage accounting — but every candidate edge is
+// taken on a fresh clone instead of in place with StepUndo/Revert, and
+// there is no frontier, stealing or checkpointing. Exhaustive (the engine
+// at one worker) must match it bit for bit, including at budget-trip
+// points and in RME passage watermarks. It honours the reorder bound and
+// ignores POR.
 func cloneExhaustive(ctx context.Context, s *Subject, model machine.Model, opts Opts) (Result, error) {
+	return cloneWalk(ctx, s, model, opts, s.newKeyer(opts).key)
+}
+
+// cloneWalk is cloneExhaustive with the visited set keyed by keyOf.
+func cloneWalk(ctx context.Context, s *Subject, model machine.Model, opts Opts,
+	keyOf func(c *machine.Config, crashes, maxCrashes int) (machine.StateKey, error)) (Result, error) {
 	maxCrashes, err := opts.exhaustiveCrashBudget()
 	if err != nil {
 		return Result{}, err
@@ -276,14 +287,19 @@ func cloneExhaustive(ctx context.Context, s *Subject, model machine.Model, opts 
 	if err != nil {
 		return Result{}, err
 	}
+	root.SetReorderBound(opts.Reduction.ReorderBound)
+	plog := s.attachPassages(root)
 	meter := run.NewMeter(ctx, opts.Budget)
 	visited := make(map[machine.StateKey]struct{}, 1024)
-	kr := s.newKeyer(opts)
-	res := Result{Complete: true, SymmetryApplied: kr.reduces()}
+	res := Result{
+		Complete:        true,
+		SymmetryApplied: opts.Symmetry && s.Sym != nil,
+		ReorderBound:    root.ReorderBound(),
+	}
 
 	var dfs func(c *machine.Config, path machine.Schedule, crashes int) (bool, error)
 	dfs = func(c *machine.Config, path machine.Schedule, crashes int) (bool, error) {
-		key, err := kr.key(c, crashes, maxCrashes)
+		key, err := keyOf(c, crashes, maxCrashes)
 		if err != nil {
 			return false, err
 		}
@@ -344,16 +360,13 @@ func cloneExhaustive(ctx context.Context, s *Subject, model machine.Model, opts 
 		return false, nil
 	}
 
-	if _, err := dfs(root, nil, 0); err != nil {
-		res.States = len(visited)
-		res.Complete = false
-		return res, err
-	}
+	_, err = dfs(root, nil, 0)
 	res.States = len(visited)
-	if res.Violation {
+	if err != nil || res.Violation {
 		res.Complete = false
 	}
-	return res, nil
+	fillPassages(&res, plog)
+	return res, err
 }
 
 // requireSameInCS extends requireSameResult with the violation's
@@ -422,16 +435,25 @@ func TestUndoExplorerMatchesCloneReferenceWithCrashes(t *testing.T) {
 
 // TestUndoExplorerMatchesCloneReferenceUnderSymmetry: parity also holds
 // when the visited set is keyed on symmetry orbits (the canonicalizer
-// re-reads the configuration the undo trail restores).
+// re-reads the configuration the undo trail restores) — across the whole
+// suite, where locks without a declaration make the flag a no-op.
 func TestUndoExplorerMatchesCloneReferenceUnderSymmetry(t *testing.T) {
-	for _, m := range allModels {
-		s := mustSubject(t, "peterson", locks.NewPeterson, 2)
-		undo, uerr := s.Exhaustive(bg(), m, Opts{Symmetry: true})
-		ref, rerr := cloneExhaustive(bg(), s, m, Opts{Symmetry: true})
-		if (uerr == nil) != (rerr == nil) {
-			t.Fatalf("peterson/%v: error mismatch: %v vs %v", m, uerr, rerr)
+	opts := Opts{Symmetry: true}
+	for _, tc := range parityPairs {
+		for _, m := range allModels {
+			what := tc.name + "/" + m.String() + "/symmetry"
+			s := mustSubject(t, tc.name, tc.ctor, tc.n)
+			undo, uerr := s.Exhaustive(bg(), m, opts)
+			ref, rerr := cloneExhaustive(bg(), s, m, opts)
+			if (uerr == nil) != (rerr == nil) {
+				t.Fatalf("%s: error mismatch: %v vs %v", what, uerr, rerr)
+			}
+			requireSameResult(t, what, undo, ref)
+			requireSameInCS(t, what, undo, ref)
+			if undo.SymmetryApplied != ref.SymmetryApplied {
+				t.Fatalf("%s: SymmetryApplied mismatch", what)
+			}
 		}
-		requireSameResult(t, "peterson/"+m.String()+"/symmetry", undo, ref)
 	}
 }
 
@@ -455,34 +477,29 @@ func TestUndoExplorerMatchesCloneReferenceAtBudgetTrip(t *testing.T) {
 
 // TestWSWorkersOneMatchesSequentialSuite: across the full lock suite, all
 // three models and the symmetry knob, a single work-stealing worker is
-// bit-identical to the sequential explorer — verdicts, witness schedules,
-// co-residency sets and state counts. This is the engine's determinism
-// anchor: workers=1 takes the direct enumeration flavor, so every charge
-// and every visit happens in the sequential order.
+// bit-identical to the clone reference walker — verdicts, witness
+// schedules, co-residency sets and state counts — and never donates or
+// steals. This is the engine's determinism anchor: workers=1 takes the
+// direct enumeration flavor, so every charge and every visit happens in
+// the reference order.
 func TestWSWorkersOneMatchesSequentialSuite(t *testing.T) {
-	variants := []struct {
-		tag  string
-		opts Opts
-	}{
-		{"plain", Opts{}},
-		{"symmetry", Opts{Symmetry: true}},
-	}
 	for _, tc := range parityPairs {
 		for _, m := range allModels {
-			for _, v := range variants {
-				what := tc.name + "/" + m.String() + "/" + v.tag
+			for _, sym := range []bool{false, true} {
+				what := fmt.Sprintf("%s/%v/symmetry=%t", tc.name, m, sym)
 				s := mustSubject(t, tc.name, tc.ctor, tc.n)
-				seq, serr := s.Exhaustive(bg(), m, v.opts)
-				popts := v.opts
-				popts.Workers = 1
-				par, perr := s.ExhaustiveParallel(bg(), m, popts)
-				if (serr == nil) != (perr == nil) {
-					t.Fatalf("%s: error mismatch: %v vs %v", what, serr, perr)
+				ref, rerr := cloneExhaustive(bg(), s, m, Opts{Symmetry: sym})
+				par, perr := s.ExhaustiveParallel(bg(), m, Opts{Symmetry: sym, Workers: 1})
+				if (rerr == nil) != (perr == nil) {
+					t.Fatalf("%s: error mismatch: %v vs %v", what, rerr, perr)
 				}
-				requireSameResult(t, what, seq, par)
-				requireSameInCS(t, what, seq, par)
-				if par.SymmetryApplied != seq.SymmetryApplied {
+				requireSameResult(t, what, ref, par)
+				requireSameInCS(t, what, ref, par)
+				if par.SymmetryApplied != ref.SymmetryApplied {
 					t.Fatalf("%s: SymmetryApplied mismatch", what)
+				}
+				if es := par.Engine; es == nil || es.Workers != 1 || es.Steals != 0 || es.Donated != 0 {
+					t.Fatalf("%s: a single worker has nobody to steal from: %+v", what, es)
 				}
 			}
 		}
@@ -504,27 +521,27 @@ func TestWSWorkersOneMatchesSequentialWithCrashes(t *testing.T) {
 		for _, m := range allModels {
 			what := tc.name + "/" + m.String() + "/crashes=1/workers=1"
 			s := mustSubject(t, tc.name, tc.ctor, 2)
-			seq, serr := s.Exhaustive(bg(), m, opts)
+			ref, rerr := cloneExhaustive(bg(), s, m, opts)
 			popts := opts
 			popts.Workers = 1
 			par, perr := s.ExhaustiveParallel(bg(), m, popts)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("%s: error mismatch: %v vs %v", what, serr, perr)
+			if (rerr == nil) != (perr == nil) {
+				t.Fatalf("%s: error mismatch: %v vs %v", what, rerr, perr)
 			}
-			requireSameResult(t, what, seq, par)
-			requireSameInCS(t, what, seq, par)
+			requireSameResult(t, what, ref, par)
+			requireSameInCS(t, what, ref, par)
 		}
 	}
 }
 
 // TestWSCheckpointResumeWorkersOneBitParity: a workers=1 checkpointed run
 // killed after its first snapshot and resumed with workers=1 lands
-// bit-for-bit on the sequential explorer's proof — the facade's
+// bit-for-bit on the reference walker's proof — the facade's
 // CheckpointPath mode (which pins one worker) keeps its deterministic
 // contract across a kill/resume cycle.
 func TestWSCheckpointResumeWorkersOneBitParity(t *testing.T) {
 	s := mustSubject(t, "bakery", locks.NewBakery, 2)
-	seq, err := s.Exhaustive(bg(), machine.PSO, Opts{})
+	ref, err := cloneExhaustive(bg(), s, machine.PSO, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +566,7 @@ func TestWSCheckpointResumeWorkersOneBitParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "workers=1 kill/resume", seq, resumed)
+	requireSameResult(t, "workers=1 kill/resume", ref, resumed)
 }
 
 // TestFCFSRejectsSymmetry: the precedence monitor tracks which concrete

@@ -226,9 +226,9 @@ func TestReorderBoundComposesPOR(t *testing.T) {
 
 // TestPORParallelParity: the work-stealing engine under POR preserves every
 // verdict at one worker and at several, across the lock suite and models.
-// Reduced state counts are engine-specific (ample-only, visited-set
-// proviso) — asserted only to never exceed the unreduced count on complete
-// runs — and violations carry replayable witnesses.
+// Reduced state counts depend on the cycle proviso (on-stack at one worker,
+// visited at two) — asserted only to never exceed the unreduced count on
+// complete runs — and violations carry replayable witnesses.
 func TestPORParallelParity(t *testing.T) {
 	for _, tc := range parityPairs {
 		for _, m := range allModels {
@@ -264,7 +264,7 @@ func TestPORParallelParity(t *testing.T) {
 }
 
 // TestReorderBoundParallelParity: Workers=1 with a reorder bound is
-// bit-identical to the bounded sequential explorer, and Workers=2 keeps
+// bit-identical to the bounded clone reference walker, and Workers=2 keeps
 // the bounded verdict and complete-run state count exact.
 func TestReorderBoundParallelParity(t *testing.T) {
 	for _, tc := range []struct {
@@ -280,7 +280,7 @@ func TestReorderBoundParallelParity(t *testing.T) {
 		what := tc.name + "/" + tc.m.String()
 		s := mustSubject(t, tc.name, tc.ctor, 2)
 		opts := Opts{Reduction: Reduction{ReorderBound: tc.k}}
-		seq, err := s.Exhaustive(bg(), tc.m, opts)
+		seq, err := cloneExhaustive(bg(), s, tc.m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,6 +303,54 @@ func TestReorderBoundParallelParity(t *testing.T) {
 		if p2.Complete && p2.States != seq.States {
 			t.Fatalf("%s ws2: bounded state count drifted: %d vs %d", what, p2.States, seq.States)
 		}
+	}
+}
+
+// TestPORProvisoHandOffOnResume: a fresh one-worker POR run checks the
+// cycle proviso against its DFS stack, every resumed run against the
+// visited set (DESIGN.md §5j argues the hand-off). A run killed after its
+// first snapshot and resumed at one worker and at two must still prove the
+// lock, visiting no fewer states than the uninterrupted one-worker run and
+// no more than the full graph.
+func TestPORProvisoHandOffOnResume(t *testing.T) {
+	const porStates, fullStates = 30066, 77594 // bakery n=3/PSO
+	s, err := NewMutexSubject("bakery", locks.NewBakery, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	red := Reduction{POR: true}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	kill := func(gen, worker int) error {
+		if gen >= 1 {
+			return errors.New("chaos")
+		}
+		return nil
+	}
+	_, err = s.ExhaustiveParallel(bg(), machine.PSO, Opts{
+		Workers: 1, Reduction: red, WorkerFault: kill,
+		Checkpoint: &CheckpointPolicy{Path: path},
+	})
+	var we *WorkerError
+	if !errors.As(err, &we) || we.Level < 1 {
+		t.Fatalf("want a kill at generation >= 1, got %v", err)
+	}
+	ck, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		res, err := s.ResumeExhaustiveParallel(bg(), machine.PSO, ck, Opts{Workers: workers, Reduction: red})
+		if err != nil {
+			t.Fatalf("workers=%d: resume: %v", workers, err)
+		}
+		if !res.Complete || res.Violation || !res.PORApplied {
+			t.Fatalf("workers=%d: resumed POR run did not prove: %+v", workers, res)
+		}
+		if res.States < porStates || res.States > fullStates {
+			t.Fatalf("workers=%d: resumed run visited %d states, want within [%d, %d]",
+				workers, res.States, porStates, fullStates)
+		}
+		t.Logf("workers=%d: resumed from generation %d, %d states", workers, res.ResumedLevel, res.States)
 	}
 }
 

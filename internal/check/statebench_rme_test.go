@@ -37,7 +37,7 @@ func BenchmarkRMEThroughput(b *testing.B) {
 		}
 		return res.States
 	}
-	b.Run("rtas-n3-crash1/sequential", func(b *testing.B) {
+	b.Run("rtas-n3-crash1/workers=1", func(b *testing.B) {
 		b.ReportAllocs()
 		states := 0
 		for i := 0; i < b.N; i++ {

@@ -17,11 +17,10 @@ import (
 // ~30k) and the first 150k states of GT_2 n=4 under PSO (the
 // state budget trips at exactly MaxStates interned states at any worker
 // count — over-cap internings are rolled back — so the truncated rows
-// stay comparable). Both the sequential DFS and the work-stealing
-// undo-log parallel engine are measured, the latter at workers=1 and
-// workers=NumCPU. The parallel POR rows use the engine's ample-only
-// reduction, so their state counts sit between the sequential POR count
-// and the full graph (see ExhaustiveParallel's doc).
+// stay comparable). The work-stealing engine is measured at workers=1
+// (which is Exhaustive) and workers=NumCPU. The multi-worker POR rows use
+// the visited-set cycle proviso, so their state counts sit between the
+// one-worker POR count and the full graph (see ExhaustiveParallel's doc).
 //
 // bytes/state for BENCH_check.json is B/op divided by the reported
 // states/op metric; the peak visited-set size equals the state count
@@ -68,15 +67,6 @@ func BenchmarkStateThroughput(b *testing.B) {
 			}
 			return res.States
 		}
-		b.Run(c.name+"/sequential", func(b *testing.B) {
-			b.ReportAllocs()
-			states := 0
-			for i := 0; i < b.N; i++ {
-				res, err := s.Exhaustive(bg(), machine.PSO, opts)
-				states = verify(b, res, err)
-			}
-			reportStates(b, states)
-		})
 		counts := []int{1}
 		if runtime.NumCPU() > 1 {
 			counts = append(counts, runtime.NumCPU())

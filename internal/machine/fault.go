@@ -188,10 +188,19 @@ func (c *Config) Crashed(p int) int64 { return c.stats.Crashes[p] }
 // produces no step — a process that has returned has left the protocol
 // (the checker and the RME model both want restarts of live processes
 // only).
+//
+// The victim's pending local computation is settled before the crash,
+// exactly as keying settles it: a durable-local update the process has
+// already computed survives, so a crash lands on the same state whether
+// or not an explorer happened to key the configuration first (a thief
+// replaying a stolen schedule prefix does not key the nodes it passes).
 func (c *Config) crashStep(p int, u *Undo) (StepRecord, bool, error) {
 	ps := c.procs[p]
 	if ps.Halted() {
 		return StepRecord{}, false, nil
+	}
+	if _, _, err := ps.NextOp(); err != nil {
+		return StepRecord{}, false, err
 	}
 	known := c.cacheKnown[p*c.cacheStride : (p+1)*c.cacheStride]
 	if u != nil {

@@ -73,7 +73,7 @@ func (v *VisitedSet) Has(key StateKey) bool {
 
 // Remove deletes a key (no-op when absent). The explorer uses it to roll
 // back an interning whose budget charge failed, keeping the interned count
-// at exactly the budget cap — the same trip point the sequential explorer
+// at exactly the budget cap — the same trip point a one-worker run
 // reports.
 func (v *VisitedSet) Remove(key StateKey) {
 	sh := v.shardOf(key)

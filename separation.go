@@ -199,21 +199,17 @@ func attachWitness(ctx context.Context, subject *check.Subject, lockName string,
 
 // checkOpts lowers the facade options to the internal checker's, wiring
 // the checkpoint policy (and its subject metadata) when a path is set.
+// A worker count of 0 pins one worker (inside the engine 0 would resolve
+// to NumCPU).
 func (o CheckOptions) checkOpts(kind, lockName string, n, passages int) check.Opts {
 	chk := check.Opts{
 		Budget:    o.Budget,
 		Faults:    o.Faults,
 		Symmetry:  o.Symmetry,
-		Workers:   o.Workers,
+		Workers:   max(o.Workers, 1),
 		Reduction: check.Reduction{ReorderBound: o.ReorderBound, POR: o.POR},
 	}
 	if o.CheckpointPath != "" {
-		if chk.Workers <= 0 {
-			// Checkpointing without an explicit worker count pins a single
-			// worker: snapshot contents and budget-trip points are then
-			// deterministic (0 would resolve to NumCPU inside the engine).
-			chk.Workers = 1
-		}
 		chk.Checkpoint = &check.CheckpointPolicy{
 			Path:        o.CheckpointPath,
 			EveryStates: o.CheckpointEvery,
@@ -253,19 +249,13 @@ func CheckMutexCtx(ctx context.Context, spec LockSpec, n, passages int, model Me
 }
 
 // checkSubject is the subject-generic core of CheckMutexCtx, shared with
-// the recoverable (RME) workload: exhaustive (or parallel) exploration,
-// graceful degradation to randomized search on a tripped state budget,
-// and witness minimization + artifact packaging on violation. The
-// returned verdict's Lock spec is left zero; callers that check a
-// LockSpec-named subject fill it in.
+// the recoverable (RME) workload: exhaustive exploration, graceful
+// degradation to randomized search on a tripped state budget, and witness
+// minimization + artifact packaging on violation. The returned verdict's
+// Lock spec is left zero; callers that check a LockSpec-named subject fill
+// it in.
 func checkSubject(ctx context.Context, subject *check.Subject, lockName string, n, passages int, model MemoryModel, opts CheckOptions, chkOpts check.Opts) (*MutexVerdict, error) {
-	var res check.Result
-	var xerr error
-	if opts.parallel() {
-		res, xerr = subject.ExhaustiveParallel(ctx, model.internal(), chkOpts)
-	} else {
-		res, xerr = subject.Exhaustive(ctx, model.internal(), chkOpts)
-	}
+	res, xerr := subject.ExhaustiveParallel(ctx, model.internal(), chkOpts)
 	v := &MutexVerdict{
 		Model:    model,
 		Mode:     ModeExhaustive,

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// The parallel explorer behind CheckOptions.Workers must reproduce the
-// sequential facade verdicts: identical proofs (including state counts)
-// and identical violation verdicts with replayable artifacts.
+// A four-worker check must reproduce the default one-worker verdicts:
+// identical proofs (including state counts) and identical violation
+// verdicts with replayable artifacts.
 func TestCheckMutexWorkersFacade(t *testing.T) {
 	ctx := context.Background()
 	// Proof: state counts must match exactly (both explorers exhaust the
@@ -26,12 +26,12 @@ func TestCheckMutexWorkersFacade(t *testing.T) {
 		t.Fatalf("parallel bakery/PSO verdict: %+v", par)
 	}
 	if par.States != seq.States {
-		t.Fatalf("parallel proof explored %d states, sequential %d", par.States, seq.States)
+		t.Fatalf("four-worker proof explored %d states, one worker %d", par.States, seq.States)
 	}
 
-	// Violation: the parallel (breadth-first) witness may differ from the
-	// sequential (depth-first) one, but both must be violations with
-	// certified, replayable artifacts.
+	// Violation: the four-worker witness may differ from the one-worker
+	// one, but both must be violations with certified, replayable
+	// artifacts.
 	v, err := CheckMutexCtx(ctx, LockSpec{Kind: BakeryTSO}, 2, 1, PSO, CheckOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestCheckMutexWorkersFacade(t *testing.T) {
 }
 
 // A checkpointed check that trips its state budget degrades (same
-// contract as the sequential path), leaves its snapshot behind, and
+// contract as the unsnapshotted path), leaves its snapshot behind, and
 // ResumeMutexCheckCtx finishes the exhaustive proof from that snapshot.
 func TestCheckpointThenResumeFacade(t *testing.T) {
 	ctx := context.Background()
@@ -128,8 +128,8 @@ func TestResumeReconstructsCrashBudget(t *testing.T) {
 	}
 }
 
-// FCFS checking is sequential: the options that select the parallel
-// checkpointed explorer are rejected, not silently ignored.
+// FCFS checking runs its own single-threaded walker: the worker and
+// checkpoint options are rejected, not silently ignored.
 func TestCheckFCFSRejectsParallelOptions(t *testing.T) {
 	ctx := context.Background()
 	if _, err := CheckFCFSCtx(ctx, LockSpec{Kind: Bakery}, 2, PSO, CheckOptions{Workers: 2}); err == nil {
