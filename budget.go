@@ -1,6 +1,8 @@
 package tradingfences
 
 import (
+	"fmt"
+
 	"tradingfences/internal/machine"
 	"tradingfences/internal/run"
 	"tradingfences/internal/witness"
@@ -13,11 +15,11 @@ import (
 // fixed amount per visited state — the 16-byte binary StateKey plus a
 // constant per-entry map overhead — so the estimate is exact and
 // independent of lock size, process count and memory model. The visited
-// set is the dominant retained memory of an exploration: both explorers
-// walk one configuration per goroutine under an undo trail, so neither
-// accumulates per-state configuration copies. (Analyses that
-// retain whole configurations, like liveness checking, charge a larger
-// per-node constant instead.)
+// set is the dominant retained memory of an exploration: every check runs
+// the one exploration engine, which walks one configuration per worker
+// under an undo trail and keeps no per-state configuration copies.
+// Liveness checking also keeps its state graph, and charges a measured
+// per-node constant for it on top of the visited-set entry.
 type Budget = run.Budget
 
 // BudgetError reports which resource of a Budget was exhausted; every
@@ -70,8 +72,9 @@ type CheckOptions struct {
 	// schedules that replay directly. Only locks that declare a symmetry
 	// specification (Peterson variants) actually reduce; for all others
 	// the flag is an honest no-op with bit-identical verdicts. CheckFCFSCtx
-	// rejects the flag: its precedence monitor distinguishes processes, so
-	// the reduction would be unsound there.
+	// and CheckLivenessCtx reject the flag: the precedence monitor
+	// distinguishes processes, and the symmetry argument does not cover
+	// the liveness graph.
 	Symmetry bool
 	// Workers sizes the work-stealing explorer's goroutine pool; 0 (the
 	// default) runs it with one worker. One worker is deterministic
@@ -79,8 +82,9 @@ type CheckOptions struct {
 	// reduces hardest under POR; at higher counts verdicts and complete-run
 	// state counts stay exact (POR counts excepted), but which witness is
 	// found first and where a budget trips become scheduling-dependent.
-	// Workers and the checkpoint fields apply to mutual-exclusion checking;
-	// CheckFCFSCtx rejects them rather than silently ignoring them.
+	// Workers above 1 and the checkpoint fields apply to mutual-exclusion
+	// checking; CheckFCFSCtx and CheckLivenessCtx run one engine worker
+	// without snapshots and reject them rather than silently ignoring them.
 	Workers int
 	// CheckpointPath, when non-empty, makes the exploration write periodic
 	// atomic snapshots there. A later ResumeMutexCheckCtx continues from
@@ -117,6 +121,23 @@ const (
 	defaultFallbackRuns     = 2000
 	defaultFallbackMaxSteps = 400
 )
+
+// oneWorker rejects, naming the first one set, the options a check that
+// runs one engine worker without snapshots (FCFS, liveness) cannot honour.
+func (o CheckOptions) oneWorker(what string) error {
+	var opt string
+	switch {
+	case o.Workers > 1:
+		opt = "Workers"
+	case o.CheckpointPath != "":
+		opt = "CheckpointPath"
+	case o.CheckpointEvery != 0:
+		opt = "CheckpointEvery"
+	default:
+		return nil
+	}
+	return fmt.Errorf("tradingfences: %s runs the exploration engine at one worker without snapshots; %s applies to mutual-exclusion checking only", what, opt)
+}
 
 func (o CheckOptions) fallback() (runs, maxSteps int) {
 	runs, maxSteps = o.FallbackRuns, o.FallbackMaxSteps

@@ -34,11 +34,13 @@ type FCFSVerdict struct {
 
 // CheckFCFSCtx exhaustively checks first-come-first-served fairness of the
 // lock for n processes (one passage each) under the given memory model,
-// bounded by opts.Budget and cancelled by ctx. Fault plans are rejected:
-// the precedence monitor is not crash-aware. Workers, CheckpointPath and
-// CheckpointEvery are rejected too: the parallel checkpointed explorer
-// covers mutual-exclusion checking only, and silently falling back to the
-// sequential non-checkpointed walk would betray what the caller asked for.
+// bounded by opts.Budget and cancelled by ctx. The exploration engine runs
+// at one worker with the precedence monitor riding along each path. Fault
+// plans and Symmetry are rejected: the monitor is not crash-aware and
+// distinguishes processes. Workers > 1, CheckpointPath and CheckpointEvery
+// are rejected too: the monitor state is not part of the checkpoint
+// schema, and silently running one worker without snapshots would betray
+// what the caller asked for.
 //
 // Budget handling mirrors CheckMutexCtx: a degradable trip (states,
 // memory) continues with a seeded randomized search and the verdict
@@ -47,8 +49,8 @@ type FCFSVerdict struct {
 // the structured error.
 func CheckFCFSCtx(ctx context.Context, spec LockSpec, n int, model MemoryModel, opts CheckOptions) (v *FCFSVerdict, err error) {
 	defer run.Recover("check fcfs", &err)
-	if opts.Workers > 0 || opts.CheckpointPath != "" || opts.CheckpointEvery != 0 {
-		return nil, errors.New("tradingfences: FCFS checking runs the sequential product-space explorer; Workers and checkpointing apply to mutual-exclusion checking only")
+	if err := opts.oneWorker("FCFS checking"); err != nil {
+		return nil, err
 	}
 	ctor, err := spec.constructor()
 	if err != nil {
@@ -58,8 +60,8 @@ func CheckFCFSCtx(ctx context.Context, spec LockSpec, n int, model MemoryModel, 
 	if err != nil {
 		return nil, err
 	}
-	// Symmetry is forwarded so the product-space explorer rejects it
-	// loudly (the precedence monitor distinguishes processes).
+	// Symmetry is forwarded so the engine rejects it loudly (the
+	// precedence monitor distinguishes processes).
 	chkOpts := check.Opts{Budget: opts.Budget, Faults: opts.Faults, Symmetry: opts.Symmetry}
 	res, cerr := subject.Exhaustive(ctx, model.internal(), chkOpts)
 	v = &FCFSVerdict{

@@ -46,7 +46,20 @@ type Subject struct {
 	// observed per-passage RMR watermark in Result.Passages. See
 	// internal/rme and machine/passage.go.
 	Passages *machine.PassageProbes
+	// Monitor, when non-nil, is a path monitor run alongside the machine
+	// (FCFSSubject's precedence automaton). Its state starts at 0 on the
+	// initial configuration; the engine carries it along every explored
+	// path and folds it into the visited-set key, and Random feeds it too.
+	// A step the monitor flags is the run's violation. Monitored runs reject
+	// fault plans, symmetry, reductions and checkpoints (see
+	// Opts.unsupported).
+	Monitor PathMonitor
 }
+
+// PathMonitor is a finite automaton over step records whose whole state is
+// one uint64: it advances state over the step rec and reports whether the
+// step violates the monitored path property.
+type PathMonitor func(state uint64, rec machine.StepRecord) (next uint64, violated bool)
 
 // NewMutexSubject instruments the lock built by ctor for n processes with
 // a minimal critical section (entry-probe read, exit-probe read) followed
@@ -218,25 +231,26 @@ func fillPassages(res *Result, log *machine.PassageLog) {
 const stateKeyOverhead = 48
 
 // keyer computes visited-set keys: a canonical binary state encoding into
-// a reusable scratch buffer, the spent crash budget folded in, hashed to
-// a fixed 128-bit key. One keyer per worker goroutine; a keyer is not
-// safe for concurrent use.
+// a reusable scratch buffer, the spent crash budget and any path-monitor
+// state folded in, hashed to a fixed 128-bit key. One keyer per worker
+// goroutine; a keyer is not safe for concurrent use.
 type keyer struct {
-	buf     []byte
-	enc     machine.KeyEncoder
-	sym     *machine.SymmetrySpec
-	wantSym bool
-	cz      *machine.Canonicalizer
+	buf       []byte
+	enc       machine.KeyEncoder
+	sym       *machine.SymmetrySpec
+	wantSym   bool
+	monitored bool
+	cz        *machine.Canonicalizer
 }
 
 func (s *Subject) newKeyer(opts Opts) *keyer {
-	return &keyer{wantSym: opts.Symmetry && s.Sym != nil, sym: s.Sym}
+	return &keyer{wantSym: opts.Symmetry && s.Sym != nil, sym: s.Sym, monitored: s.Monitor != nil}
 }
 
 // reduces reports whether a non-trivial symmetry reduction is in force.
 func (k *keyer) reduces() bool { return k.wantSym }
 
-func (k *keyer) key(c *machine.Config, crashes, maxCrashes int) (machine.StateKey, error) {
+func (k *keyer) key(c *machine.Config, crashes, maxCrashes int, mon uint64) (machine.StateKey, error) {
 	k.buf = k.buf[:0]
 	var err error
 	if k.wantSym {
@@ -255,6 +269,13 @@ func (k *keyer) key(c *machine.Config, crashes, maxCrashes int) (machine.StateKe
 		// have different futures; fold the spent count into the key to
 		// keep pruning sound.
 		k.buf = binary.AppendUvarint(k.buf, uint64(crashes))
+	}
+	if k.monitored {
+		// The monitor state decides which later steps violate, so it is
+		// part of the state. Eight fixed-width bytes after the
+		// self-delimiting machine bytes keep the encoding injective;
+		// unmonitored subjects key exactly as before.
+		k.buf = binary.LittleEndian.AppendUint64(k.buf, mon)
 	}
 	return machine.HashStateKey(k.buf), nil
 }
@@ -284,16 +305,19 @@ func (k *keyer) key(c *machine.Config, crashes, maxCrashes int) (machine.StateKe
 // parity_test.go holds the engine equal to a clone-per-edge reference.
 func (s *Subject) Exhaustive(ctx context.Context, model machine.Model, opts Opts) (Result, error) {
 	opts.Workers = 1
-	return s.runWS(ctx, model, opts, nil)
+	return s.runWS(ctx, model, opts, nil, nil)
 }
 
 // Random drives the subject with `runs` random schedules of up to maxSteps
-// elements each, drawn from rng, checking occupancy after every step. It
-// can only find violations, never prove their absence. The run is bounded
-// by opts.Budget and ctx (partial results are returned with the structured
-// error); opts.Faults contributes stall windows and a randomized crash
-// budget (see Opts.CrashProb).
+// elements each, drawn from rng, checking occupancy (and feeding the path
+// monitor, if any) after every step. It can only find violations, never
+// prove their absence. The run is bounded by opts.Budget and ctx (partial
+// results are returned with the structured error); opts.Faults contributes
+// stall windows and a randomized crash budget (see Opts.CrashProb).
 func (s *Subject) Random(ctx context.Context, model machine.Model, rng *rand.Rand, runs, maxSteps int, commitProb float64, opts Opts) (Result, error) {
+	if err := s.monitorOpts(opts); err != nil {
+		return Result{}, err
+	}
 	meter := run.NewMeter(ctx, opts.Budget)
 	maxCrashes, crashProb := opts.randomCrash()
 	var res Result
@@ -311,6 +335,7 @@ func (s *Subject) Random(ctx context.Context, model machine.Model, rng *rand.Ran
 			c.EnablePassages(*s.Passages, plog)
 		}
 		crashes := 0
+		var mon uint64
 		var path machine.Schedule
 		for step := 0; step < maxSteps && !c.AllHalted(); step++ {
 			if err := meter.AddStep(); err != nil {
@@ -333,7 +358,7 @@ func (s *Subject) Random(ctx context.Context, model machine.Model, rng *rand.Ran
 					e = machine.PReg(p, r)
 				}
 			}
-			_, took, err := c.Step(e)
+			rec, took, err := c.Step(e)
 			if err != nil {
 				return Result{}, err
 			}
@@ -342,11 +367,15 @@ func (s *Subject) Random(ctx context.Context, model machine.Model, rng *rand.Ran
 			}
 			path = append(path, e)
 			res.States++
+			flagged := false
+			if took && s.Monitor != nil {
+				mon, flagged = s.Monitor(mon, rec)
+			}
 			in, err := s.occupancy(c)
 			if err != nil {
 				return Result{}, err
 			}
-			if len(in) >= 2 {
+			if flagged || len(in) >= 2 {
 				res.Violation = true
 				res.Witness = path
 				res.InCS = in

@@ -475,7 +475,7 @@ func (s *Subject) loadCheckpoint(model machine.Model, ck *Checkpoint, maxCrashes
 	if id := root.IdentityFingerprint(); id != ck.Identity {
 		return nil, fmt.Errorf("%w: identity %s, snapshot has %s", ErrCheckpointDrift, id, ck.Identity)
 	}
-	rootKey, err := kr.key(root, 0, maxCrashes)
+	rootKey, err := kr.key(root, 0, maxCrashes, 0)
 	if err != nil {
 		return nil, err
 	}

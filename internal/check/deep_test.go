@@ -112,3 +112,21 @@ func TestDeepFilterLiveness(t *testing.T) {
 		t.Fatalf("filter liveness: %v", res)
 	}
 }
+
+// Bakery stays FCFS with three processes: 376,593 product states.
+func TestDeepBakeryFCFSThreeProcs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deep check")
+	}
+	s, err := NewFCFSSubject("bakery", locks.NewBakery, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Exhaustive(bg(), machine.PSO, statesOpt(8_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation || !res.Complete || res.States != 376_593 {
+		t.Fatalf("bakery n=3 FCFS: viol=%v complete=%v states=%d", res.Violation, res.Complete, res.States)
+	}
+}

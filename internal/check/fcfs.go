@@ -2,14 +2,12 @@ package check
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
 	"tradingfences/internal/lang"
 	"tradingfences/internal/locks"
 	"tradingfences/internal/machine"
-	"tradingfences/internal/run"
 )
 
 // FCFSSubject instruments a lock that declares a wait-free doorway for
@@ -26,22 +24,28 @@ import (
 //	read(CS)   — critical-section entry
 //	<release>
 //
-// FCFS is a *path* property, so the exhaustive search explores the product
-// of the machine's state space with a finite precedence monitor (which
-// doorway-precedence pairs hold, and who has entered the critical
-// section); the monitor state is folded into the visited-set fingerprint,
-// keeping the pruning sound.
+// FCFS is a *path* property, so the subject carries a path monitor
+// (Subject.Monitor): a finite precedence automaton over the probe reads,
+// which records which doorway-precedence pairs hold and who has entered
+// the critical section. The engine explores the product of machine state
+// and monitor state and folds the monitor into the visited-set key, which
+// keeps the pruning sound. CSExit is machine.InvalidReg, so the
+// mutual-exclusion occupancy check never fires.
 type FCFSSubject struct {
-	Name   string
-	Build  func(model machine.Model) (*machine.Config, error)
-	DS, DE machine.Reg
-	CS     machine.Reg
-	n      int
+	Subject
+	mon fcfsMonitor
 }
 
+// maxFCFSProcs is the largest process count whose monitor state — two
+// phase bits per process and an n×n precedence matrix — fits one uint64.
+const maxFCFSProcs = 7
+
 // NewFCFSSubject builds the instrumented workload (one passage per
-// process). The lock must declare a doorway.
+// process). The lock must declare a doorway, and n must not exceed 7.
 func NewFCFSSubject(name string, ctor locks.Constructor, n int) (*FCFSSubject, error) {
+	if n > maxFCFSProcs {
+		return nil, fmt.Errorf("check: FCFS checking supports at most %d processes, got %d", maxFCFSProcs, n)
+	}
 	lay := machine.NewLayout()
 	lk, err := ctor(lay, "lk", n)
 	if err != nil {
@@ -69,82 +73,73 @@ func NewFCFSSubject(name string, ctor locks.Constructor, n int) (*FCFSSubject, e
 	for i := range progs {
 		progs[i] = prog
 	}
+	mon := fcfsMonitor{ds: ds, de: de, cs: cs, n: n}
 	return &FCFSSubject{
-		Name: name,
-		Build: func(model machine.Model) (*machine.Config, error) {
-			return machine.NewConfig(model, lay, progs)
+		Subject: Subject{
+			Name: name,
+			Build: func(model machine.Model) (*machine.Config, error) {
+				return machine.NewConfig(model, lay, progs)
+			},
+			CSExit:  machine.InvalidReg,
+			Layout:  lay,
+			Monitor: mon.observe,
 		},
-		DS: ds, DE: de, CS: cs,
-		n: n,
+		mon: mon,
 	}, nil
 }
 
-// fcfsMonitor is the finite precedence automaton run alongside the
-// machine: per process the phase (0 = before doorway, 1 = in doorway,
-// 2 = waiting, 3 = in/past CS) and the doorway-precedence relation.
+// fcfsMonitor is the precedence automaton over a packed uint64 state: bits
+// 2p..2p+1 hold process p's phase (0 = before doorway, 1 = in doorway,
+// 2 = waiting, 3 = in/past CS), and bit 2n+p*n+q is set when p completed
+// its doorway before q started its own. The packing is injective, so the
+// product partition is the one the monitor's (phase, precedence) tuple
+// induces.
 type fcfsMonitor struct {
-	phase []uint8
-	// precede[p*n+q] is set when p completed its doorway before q started
-	// its doorway.
-	precede []bool
-	n       int
+	ds, de, cs machine.Reg
+	n          int
 }
 
-func newFCFSMonitor(n int) *fcfsMonitor {
-	return &fcfsMonitor{phase: make([]uint8, n), precede: make([]bool, n*n), n: n}
+func (m fcfsMonitor) phase(state uint64, p int) uint64 { return state >> (2 * p) & 3 }
+
+func (m fcfsMonitor) precedes(state uint64, p, q int) bool {
+	return state>>(2*m.n+p*m.n+q)&1 != 0
 }
 
-func (m *fcfsMonitor) clone() *fcfsMonitor {
-	c := newFCFSMonitor(m.n)
-	copy(c.phase, m.phase)
-	copy(c.precede, m.precede)
-	return c
-}
-
-// appendBytes appends the monitor state to a state-key buffer. The layout
-// is fixed-width for a given n (n phase bytes, n² precedence bits as
-// bytes), so appending it after the machine's self-delimiting state bytes
-// keeps the combined encoding injective.
-func (m *fcfsMonitor) appendBytes(buf []byte) []byte {
-	buf = append(buf, m.phase...)
-	for _, p := range m.precede {
-		if p {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
-
-// observe advances the monitor on a probe read; it returns the overtaken
-// process q (with violation=true) if the step is a CS entry by p while
-// some q with doorway-precedence over p has not yet entered.
-func (m *fcfsMonitor) observe(s *FCFSSubject, rec machine.StepRecord) (violator, overtaken int, violation bool) {
+// step advances the monitor over rec. It returns the overtaken process q
+// when rec is a critical-section entry by p while some q with doorway
+// precedence over p has not entered yet, and -1 otherwise.
+func (m fcfsMonitor) step(state uint64, rec machine.StepRecord) (uint64, int) {
 	if rec.Kind != machine.StepRead {
-		return 0, 0, false
+		return state, -1
 	}
 	p := rec.P
+	enter := func(ph uint64) { state = state&^(3<<(2*p)) | ph<<(2*p) }
 	switch rec.Reg {
-	case s.DS:
-		m.phase[p] = 1
+	case m.ds:
+		enter(1)
 		// Everyone who already finished their doorway precedes p.
 		for q := 0; q < m.n; q++ {
-			if q != p && m.phase[q] >= 2 {
-				m.precede[q*m.n+p] = true
+			if q != p && m.phase(state, q) >= 2 {
+				state |= 1 << (2*m.n + q*m.n + p)
 			}
 		}
-	case s.DE:
-		m.phase[p] = 2
-	case s.CS:
-		m.phase[p] = 3
+	case m.de:
+		enter(2)
+	case m.cs:
+		enter(3)
 		for q := 0; q < m.n; q++ {
-			if q != p && m.precede[q*m.n+p] && m.phase[q] < 3 {
-				return p, q, true
+			if q != p && m.precedes(state, q, p) && m.phase(state, q) < 3 {
+				return state, q
 			}
 		}
 	}
-	return 0, 0, false
+	return state, -1
+}
+
+// observe is step as a PathMonitor: any overtake flags the step.
+func (m fcfsMonitor) observe(state uint64, rec machine.StepRecord) (uint64, bool) {
+	next, overtaken := m.step(state, rec)
+	return next, overtaken >= 0
 }
 
 // FCFSResult reports the outcome of an FCFS check.
@@ -157,7 +152,8 @@ type FCFSResult struct {
 	Violator, Overtaken int
 	// Witness is the violating schedule.
 	Witness machine.Schedule
-	// States is the number of distinct (machine × monitor) states.
+	// States is the number of distinct (machine × monitor) states
+	// (exhaustive mode) or steps taken (random mode).
 	States int
 	// Complete is true if the product state space was exhausted; together
 	// with !Violation it proves FCFS for the bounded workload.
@@ -165,176 +161,61 @@ type FCFSResult struct {
 }
 
 // Exhaustive explores all schedules over the product of machine state and
-// precedence monitor, bounded by opts.Budget and cancelled by ctx (budget
-// trips return the partial result with a structured error). Fault plans
-// are rejected: the precedence monitor is not crash-aware — a crashed
-// process would keep its doorway-precedence obligations, which is not the
-// notion Lamport's condition defines. Symmetry reduction is rejected too:
-// the monitor's precedence relation distinguishes processes, so renaming
-// them is not an automorphism of the product system. State-space
-// reductions (Opts.Reduction) are rejected for the same structural
-// reason: the commit-independence relation ignores the monitor, whose
-// state every doorway step changes.
+// precedence monitor — the engine at one worker (Subject.Exhaustive) —
+// bounded by opts.Budget and cancelled by ctx (budget trips return the
+// partial result with a structured error). Fault plans, symmetry,
+// state-space reductions and checkpoints are rejected (see
+// Opts.unsupported): the monitor is not crash-aware, indexes processes,
+// and changes on steps the commit-independence relation treats as
+// invisible.
 func (s *FCFSSubject) Exhaustive(ctx context.Context, model machine.Model, opts Opts) (FCFSResult, error) {
-	if err := opts.noFaults("FCFS checking"); err != nil {
-		return FCFSResult{}, err
-	}
-	if err := s.noSymmetry(opts); err != nil {
-		return FCFSResult{}, err
-	}
-	if err := opts.noReduction("FCFS checking"); err != nil {
-		return FCFSResult{}, err
-	}
-	root, err := s.Build(model)
-	if err != nil {
-		return FCFSResult{}, err
-	}
-	meter := run.NewMeter(ctx, opts.Budget)
-	res := FCFSResult{Complete: true}
-	visited := make(map[machine.StateKey]struct{}, 1024)
-	var enc machine.KeyEncoder
-	var keyBuf []byte
-
-	var dfs func(c *machine.Config, m *fcfsMonitor, path machine.Schedule) (bool, error)
-	dfs = func(c *machine.Config, m *fcfsMonitor, path machine.Schedule) (bool, error) {
-		var err error
-		keyBuf, err = enc.AppendStateBytes(c, keyBuf[:0])
-		if err != nil {
-			return false, err
-		}
-		keyBuf = m.appendBytes(keyBuf)
-		key := machine.HashStateKey(keyBuf)
-		if _, seen := visited[key]; seen {
-			return false, nil
-		}
-		if err := meter.AddState(machine.StateKeySize + stateKeyOverhead); err != nil {
-			return false, err
-		}
-		visited[key] = struct{}{}
-
-		for p := 0; p < c.N(); p++ {
-			if c.Halted(p) {
-				continue
-			}
-			elems := []machine.Elem{machine.PBottom(p)}
-			for _, r := range c.BufferRegs(p) {
-				if c.CanCommit(p, r) {
-					elems = append(elems, machine.PReg(p, r))
-				}
-			}
-			for _, e := range elems {
-				if err := meter.AddStep(); err != nil {
-					return false, err
-				}
-				// Clone only elements that will take; Enabled reports true
-				// on would-be-error states, so errors still surface below.
-				if !c.Enabled(e) {
-					continue
-				}
-				next := c.Clone()
-				rec, took, err := next.Step(e)
-				if err != nil {
-					return false, err
-				}
-				if !took {
-					continue
-				}
-				nm := m.clone()
-				if violator, overtaken, bad := nm.observe(s, rec); bad {
-					res.Violation = true
-					res.Violator, res.Overtaken = violator, overtaken
-					res.Witness = append(append(machine.Schedule(nil), path...), e)
-					return true, nil
-				}
-				found, err := dfs(next, nm, append(path, e))
-				if err != nil || found {
-					return found, err
-				}
-			}
-		}
-		return false, nil
-	}
-
-	if _, err := dfs(root, newFCFSMonitor(s.n), nil); err != nil {
-		res.States = len(visited)
-		res.Complete = false
-		return res, err
-	}
-	res.States = len(visited)
-	if res.Violation {
-		res.Complete = false
-	}
-	return res, nil
-}
-
-// noSymmetry rejects symmetry reduction for FCFS checking: the precedence
-// monitor's state is indexed by concrete process IDs, so process renaming
-// is not an automorphism of the product system and orbit keys would be
-// unsound. Rejecting (rather than silently ignoring the flag) keeps the
-// "requested but inapplicable" case loud.
-func (s *FCFSSubject) noSymmetry(opts Opts) error {
-	if !opts.Symmetry {
-		return nil
-	}
-	return errors.New("check: FCFS checking distinguishes processes (the precedence monitor is asymmetric); symmetry reduction is unsupported")
+	res, err := s.Subject.Exhaustive(ctx, model, opts)
+	return s.result(model, res, err)
 }
 
 // Random hunts for FCFS violations with random schedules, bounded by
-// opts.Budget and cancelled by ctx. Fault plans, symmetry reduction and
-// state-space reductions are rejected (see Exhaustive).
+// opts.Budget and cancelled by ctx. It rejects the same options as
+// Exhaustive.
 func (s *FCFSSubject) Random(ctx context.Context, model machine.Model, rng *rand.Rand, runs, maxSteps int, commitProb float64, opts Opts) (FCFSResult, error) {
-	if err := opts.noFaults("FCFS checking"); err != nil {
-		return FCFSResult{}, err
+	res, err := s.Subject.Random(ctx, model, rng, runs, maxSteps, commitProb, opts)
+	return s.result(model, res, err)
+}
+
+// result lowers an engine or random result, decoding who overtook whom by
+// replaying the witness through the monitor.
+func (s *FCFSSubject) result(model machine.Model, res Result, err error) (FCFSResult, error) {
+	out := FCFSResult{Violation: res.Violation, Witness: res.Witness, States: res.States, Complete: res.Complete}
+	if res.Violation {
+		var derr error
+		if out.Violator, out.Overtaken, derr = s.overtake(model, res.Witness); derr != nil {
+			return out, derr
+		}
 	}
-	if err := s.noSymmetry(opts); err != nil {
-		return FCFSResult{}, err
+	return out, err
+}
+
+// overtake replays a witness through the precedence monitor and reports
+// the first overtake on it: violator entered the critical section before
+// overtaken, which had completed its doorway first. It errors when the
+// witness does not replay or contains no overtake.
+func (s *FCFSSubject) overtake(model machine.Model, witness machine.Schedule) (violator, overtaken int, err error) {
+	c, err := s.Build(model)
+	if err != nil {
+		return 0, 0, err
 	}
-	if err := opts.noReduction("FCFS checking"); err != nil {
-		return FCFSResult{}, err
-	}
-	meter := run.NewMeter(ctx, opts.Budget)
-	var res FCFSResult
-	for r := 0; r < runs; r++ {
-		c, err := s.Build(model)
+	var state uint64
+	for _, e := range witness {
+		rec, took, err := c.Step(e)
 		if err != nil {
-			return FCFSResult{}, err
+			return 0, 0, err
 		}
-		m := newFCFSMonitor(s.n)
-		var path machine.Schedule
-		for step := 0; step < maxSteps && !c.AllHalted(); step++ {
-			if err := meter.AddStep(); err != nil {
-				return res, err
-			}
-			var live []int
-			for p := 0; p < c.N(); p++ {
-				if !c.Halted(p) {
-					live = append(live, p)
-				}
-			}
-			p := live[rng.Intn(len(live))]
-			e := machine.PBottom(p)
-			if regs := c.BufferRegs(p); len(regs) > 0 && rng.Float64() < commitProb {
-				r := regs[rng.Intn(len(regs))]
-				if c.CanCommit(p, r) {
-					e = machine.PReg(p, r)
-				}
-			}
-			rec, took, err := c.Step(e)
-			if err != nil {
-				return FCFSResult{}, err
-			}
-			if !took {
-				continue
-			}
-			path = append(path, e)
-			res.States++
-			if violator, overtaken, bad := m.observe(s, rec); bad {
-				res.Violation = true
-				res.Violator, res.Overtaken = violator, overtaken
-				res.Witness = path
-				return res, nil
-			}
+		if !took {
+			continue
+		}
+		var q int
+		if state, q = s.mon.step(state, rec); q >= 0 {
+			return rec.P, q, nil
 		}
 	}
-	return res, nil
+	return 0, 0, fmt.Errorf("check: FCFS witness %q replays to no overtake", witness)
 }

@@ -2,6 +2,7 @@ package check
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 
 	"tradingfences/internal/machine"
@@ -40,9 +41,9 @@ type Opts struct {
 	// subjects whose lock declares a SymmetrySpec (Peterson variants);
 	// for all others the flag is an honest no-op (identity
 	// canonicalization, bit-identical to Symmetry=false). Rejected by
-	// FCFS checking, whose precedence monitor distinguishes processes.
-	// Result.SymmetryApplied reports whether a real reduction was in
-	// force.
+	// FCFS checking, whose precedence monitor distinguishes processes, and
+	// by the liveness analysis. Result.SymmetryApplied reports whether a
+	// real reduction was in force.
 	Symmetry bool
 
 	// Workers sizes the worker pool of the work-stealing engine
@@ -54,13 +55,15 @@ type Opts struct {
 	// exact (reduced counts excepted), but which witness is found first and
 	// where a budget trips become scheduling-dependent. Negative values
 	// behave like 1. Exhaustive ignores this field: it always runs one
-	// worker.
+	// worker. CheckProgress rejects values above 1: its graph is recorded
+	// by a single worker.
 	Workers int
 
 	// Checkpoint enables periodic snapshots of the parallel explorer's
 	// pending frontier, worker stacks, visited set and meter usage
 	// (nil = none). Snapshots are written atomically (tmp+rename) at
-	// quiescent barriers; see CheckpointPolicy.
+	// quiescent barriers; see CheckpointPolicy. FCFS and liveness
+	// checking reject it.
 	Checkpoint *CheckpointPolicy
 
 	// WorkerFault is a chaos-testing hook called per worker at worker
@@ -130,13 +133,38 @@ func (r Reduction) validate() error {
 	return nil
 }
 
-// noReduction rejects reduction modes, for analyses the reduction
-// soundness arguments do not cover (FCFS precedence, liveness).
-func (o Opts) noReduction(what string) error {
-	if !o.Reduction.Enabled() {
+// unsupported rejects, naming the first one set, the options that the
+// engine's two analyses besides occupancy — FCFS's path monitor and the
+// liveness graph — cannot honour. Both are defined for crash-free
+// executions. Neither is covered by the symmetry and reduction soundness
+// arguments, which are made for the occupancy invariant: the FCFS monitor
+// indexes processes, the ample relation ignores monitor state, and a
+// reduced graph drops edges deadlock freedom must see. Neither state is
+// part of the checkpoint schema. oneWorker also rejects Workers > 1, for
+// the liveness graph, which a single worker records.
+func (o Opts) unsupported(what string, oneWorker bool) error {
+	switch {
+	case !o.Faults.Empty():
+		return errors.New("check: " + what + " is defined for fault-free executions only")
+	case o.Symmetry:
+		return errors.New("check: " + what + " does not support symmetry reduction (Opts.Symmetry)")
+	case o.Reduction.Enabled():
+		return errors.New("check: " + what + " does not support state-space reduction (Reduction.ReorderBound/POR); reductions are certified for exhaustive mutual-exclusion checking only")
+	case o.Checkpoint != nil:
+		return errors.New("check: " + what + " does not support snapshots (Opts.Checkpoint)")
+	case oneWorker && o.Workers > 1:
+		return fmt.Errorf("check: %s runs the engine at one worker; Opts.Workers=%d is unsupported", what, o.Workers)
+	}
+	return nil
+}
+
+// monitorOpts applies unsupported to a monitored subject's runs; the
+// engine runs a path monitor at any worker count.
+func (s *Subject) monitorOpts(o Opts) error {
+	if s.Monitor == nil {
 		return nil
 	}
-	return errors.New("check: " + what + " does not support state-space reduction (Reduction.ReorderBound/POR); reductions are certified for exhaustive mutual-exclusion checking only")
+	return o.unsupported("checking under a path monitor", false)
 }
 
 // workerCount resolves Opts.Workers to a positive pool size: 0 means one
@@ -168,15 +196,6 @@ func (o Opts) exhaustiveCrashBudget() (int, error) {
 		return 0, errors.New("check: exhaustive exploration chooses crash points adversarially; set FaultPlan.MaxCrashes instead of fixed crash points")
 	}
 	return o.Faults.MaxCrashes, nil
-}
-
-// noFaults rejects any fault plan, for analyses whose semantics are defined
-// only for crash-free executions.
-func (o Opts) noFaults(what string) error {
-	if o.Faults.Empty() {
-		return nil
-	}
-	return errors.New("check: " + what + " is defined for fault-free executions only")
 }
 
 // randomCrash returns the crash budget and per-step probability for random

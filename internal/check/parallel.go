@@ -14,8 +14,10 @@
 // the key, independent of the worker count), a shared budget meter
 // (run.SharedMeter), and a mutex-protected steal queue.
 //
-// This is the only exhaustive mutual-exclusion walker: Exhaustive runs it
-// at one worker.
+// This is the only exhaustive walker. Exhaustive runs it at one worker;
+// FCFS checking runs it with a path monitor (Subject.Monitor), whose state
+// rides in each DFS frame beside the spent crash count; the liveness
+// analysis runs it at one worker with a graph recorder (see visit).
 //
 // Determinism contract. With Workers=1 the engine is deterministic: one
 // worker, no donations, the canonical successor order and charges at
@@ -125,6 +127,7 @@ type wsFrame struct {
 	next    int              // cursor: elems[next:end] are pending
 	end     int              // donations shrink end from the right
 	crashes int              // crash budget spent at this frame's node
+	mon     uint64           // path-monitor state at this frame's node
 	depth   int              // len(path) at this frame's node
 }
 
@@ -139,6 +142,8 @@ type wsEngine struct {
 	meter      *run.SharedMeter
 	visited    *machine.VisitedSet
 	plog       *machine.PassageLog
+	graph      *graphRecorder // liveness runs (one worker): told every transition
+	stateBytes int64          // budget charge per interned state
 	policy     *CheckpointPolicy
 	identity   string
 	rootKey    string
@@ -223,7 +228,7 @@ type wsWorker struct {
 // explorer either way, but the visited proviso reduces less, and at
 // Workers>1 its state counts are scheduling-dependent.
 func (s *Subject) ExhaustiveParallel(ctx context.Context, model machine.Model, opts Opts) (Result, error) {
-	return s.runWS(ctx, model, opts, nil)
+	return s.runWS(ctx, model, opts, nil, nil)
 }
 
 // ResumeExhaustiveParallel continues an exploration from a decoded
@@ -233,8 +238,12 @@ func (s *Subject) ExhaustiveParallel(ctx context.Context, model machine.Model, o
 // pending schedule must replay on a fresh build. Meter usage is preloaded
 // so opts.Budget spans the whole logical run; the wall clock restarts (see
 // run.SharedMeter.Preload). A resumed POR run checks the visited-set cycle
-// proviso at every worker count (DESIGN.md §5j).
+// proviso at every worker count (DESIGN.md §5j). Subjects with a path
+// monitor never write snapshots, so they have nothing to resume.
 func (s *Subject) ResumeExhaustiveParallel(ctx context.Context, model machine.Model, ck *Checkpoint, opts Opts) (Result, error) {
+	if s.Monitor != nil {
+		return Result{}, errors.New("check: checking under a path monitor does not support snapshots; nothing to resume")
+	}
 	maxCrashes, err := opts.exhaustiveCrashBudget()
 	if err != nil {
 		return Result{}, err
@@ -243,15 +252,20 @@ func (s *Subject) ResumeExhaustiveParallel(ctx context.Context, model machine.Mo
 	if err != nil {
 		return Result{}, err
 	}
-	return s.runWS(ctx, model, opts, rs)
+	return s.runWS(ctx, model, opts, rs, nil)
 }
 
-func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs *resumeState) (out Result, rerr error) {
+// runWS runs the engine. A non-nil graph recorder requires a fresh
+// one-worker run (CheckProgress).
+func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs *resumeState, graph *graphRecorder) (out Result, rerr error) {
 	maxCrashes, err := opts.exhaustiveCrashBudget()
 	if err != nil {
 		return Result{}, err
 	}
 	if err := opts.Reduction.validate(); err != nil {
+		return Result{}, err
+	}
+	if err := s.monitorOpts(opts); err != nil {
 		return Result{}, err
 	}
 	if ctx == nil {
@@ -266,8 +280,13 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 		workers:    workers,
 		prepass:    workers > 1,
 		meter:      run.NewSharedMeter(ctx, opts.Budget),
+		graph:      graph,
+		stateBytes: machine.StateKeySize + stateKeyOverhead,
 		policy:     opts.Checkpoint,
 		contribs:   make([]*CheckpointStack, workers),
+	}
+	if graph != nil {
+		e.stateBytes += graphNodeBytes
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.symmetry = s.newKeyer(opts).reduces()
@@ -294,7 +313,7 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 		fresh.SetReorderBound(e.bound)
 		e.identity = fresh.IdentityFingerprint()
 		kr := s.newKeyer(opts)
-		rk, err := kr.key(fresh, 0, maxCrashes)
+		rk, err := kr.key(fresh, 0, maxCrashes, 0)
 		if err != nil {
 			return Result{}, err
 		}
@@ -773,16 +792,20 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 		hasFinal = true
 	}
 	crashes := 0
+	var mon uint64
 	for _, el := range replay {
 		if e.stopFlag.Load() {
 			return w.abortWith(errStopped)
 		}
-		_, took, u, err := w.cfg.StepUndo(el)
+		rec, took, u, err := w.cfg.StepUndo(el)
 		if err != nil || !took {
 			if err == nil {
 				err = fmt.Errorf("check: frontier entry %q does not replay", ent.sched)
 			}
 			w.unwindAll()
+			return err
+		}
+		if mon, err = w.observe(mon, el, rec); err != nil {
 			return err
 		}
 		w.path = append(w.path, el)
@@ -792,6 +815,8 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 		}
 	}
 	if ent.stack != nil {
+		// Stack entries come only from snapshots, which monitored subjects
+		// never write, so adopted frames carry no monitor state.
 		for _, fr := range ent.stack {
 			f := w.pushFrame(fr.crashes)
 			f.depth = fr.depth
@@ -806,7 +831,7 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 				return w.abortWith(err)
 			}
 		}
-		_, took, u, err := w.cfg.StepUndo(final)
+		rec, took, u, err := w.cfg.StepUndo(final)
 		if err != nil {
 			w.unwindAll()
 			return err
@@ -819,13 +844,16 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 			w.unwindAll()
 			return nil
 		}
+		if mon, err = w.observe(mon, final, rec); err != nil {
+			return err
+		}
 		w.path = append(w.path, final)
 		w.trail = append(w.trail, u)
 		if final.Crash {
 			crashes++
 		}
 	}
-	pushed, err := w.visit(crashes, machine.StateKey{}, false)
+	pushed, err := w.visit(crashes, mon, machine.StateKey{}, false)
 	if err != nil {
 		if errors.Is(err, errStopped) {
 			return err
@@ -845,34 +873,61 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 // at. Returns pushed=false when the state was already visited (the caller
 // backtracks its edge). On a limit error the interning is rolled back so
 // the interned count sits exactly at the budget cap — the one-worker trip
-// point — and the caller re-queues the edge for resume.
-func (w *wsWorker) visit(crashes int, key machine.StateKey, haveKey bool) (pushed bool, err error) {
+// point — and the caller re-queues the edge for resume. A run with a graph
+// recorder checks no occupancy; instead the recorder is told about every
+// transition, into a fresh state or not.
+func (w *wsWorker) visit(crashes int, mon uint64, key machine.StateKey, haveKey bool) (pushed bool, err error) {
 	e := w.e
 	if !haveKey {
-		key, err = w.kr.key(w.cfg, crashes, e.maxCrashes)
+		key, err = w.kr.key(w.cfg, crashes, e.maxCrashes, mon)
 		if err != nil {
 			return false, err
 		}
 	}
-	if !e.visited.TryVisit(key) {
+	fresh := e.visited.TryVisit(key)
+	if fresh {
+		if err := e.meter.AddState(e.stateBytes); err != nil {
+			e.visited.Remove(key)
+			return false, err
+		}
+		e.requestSnapshot()
+	}
+	if e.graph != nil {
+		if err := e.graph.transition(w.cfg, w.path, key); err != nil {
+			return false, err
+		}
+	} else if fresh {
+		in, err := e.s.occupancyInto(w.cfg, w.in[:0])
+		if err != nil {
+			return false, err
+		}
+		w.in = in[:0]
+		if len(in) >= 2 {
+			e.foundViolation(w.path, in)
+			return false, errStopped
+		}
+	}
+	if !fresh {
 		return false, nil
 	}
-	if err := e.meter.AddState(machine.StateKeySize + stateKeyOverhead); err != nil {
-		e.visited.Remove(key)
-		return false, err
-	}
-	e.requestSnapshot()
+	return w.expand(crashes, mon, key)
+}
 
-	in, err := e.s.occupancyInto(w.cfg, w.in[:0])
-	if err != nil {
-		return false, err
+// observe advances the subject's path monitor (if any) from state mon over
+// the step el just took. A flagged step is the run's violation: it is
+// recorded with the witness path+el and errStopped is returned, leaving the
+// step unrecorded on the trail of a worker that is about to exit.
+func (w *wsWorker) observe(mon uint64, el machine.Elem, rec machine.StepRecord) (uint64, error) {
+	m := w.e.s.Monitor
+	if m == nil {
+		return 0, nil
 	}
-	w.in = in[:0]
-	if len(in) >= 2 {
-		e.foundViolation(w.path, in)
-		return false, errStopped
+	next, bad := m(mon, rec)
+	if bad {
+		w.e.foundViolation(append(w.path, el), nil)
+		return 0, errStopped
 	}
-	return w.expand(crashes, key)
+	return next, nil
 }
 
 // expand enumerates the current configuration's successors in the
@@ -884,11 +939,11 @@ func (w *wsWorker) visit(crashes int, key machine.StateKey, haveKey bool) (pushe
 // before they ever reach the stack — cutting both lock traffic and
 // redundant replay. At Workers=1 the frame stays lazy (keys == nil) and
 // charges happen at descent, in the reference walker's charge order.
-func (w *wsWorker) expand(crashes int, nodeKey machine.StateKey) (bool, error) {
+func (w *wsWorker) expand(crashes int, mon uint64, nodeKey machine.StateKey) (bool, error) {
 	e := w.e
 	c := w.cfg
 	f := w.pushFrame(crashes)
-	f.key = nodeKey
+	f.key, f.mon = nodeKey, mon
 	ample := false
 	if e.por {
 		var err error
@@ -927,7 +982,8 @@ func (w *wsWorker) expand(crashes int, nodeKey machine.StateKey) (bool, error) {
 
 	// Batched pre-pass. On a limit error the node's interning is rolled
 	// back too: its expansion was not completed, so it must be re-visited
-	// (and re-charged) by the resumed run.
+	// (and re-charged) by the resumed run. The path monitor sees every
+	// taken step here, before the visited filter can drop it.
 	bail := func(err error) (bool, error) {
 		// Drop only the frame pushed above — not popFrame, which would
 		// unwind the trail to the parent frame's depth and revert the
@@ -947,18 +1003,22 @@ func (w *wsWorker) expand(crashes int, nodeKey machine.StateKey) (bool, error) {
 		if err := e.meter.AddStep(); err != nil {
 			return bail(err)
 		}
-		_, took, u, err := c.StepUndo(el)
+		rec, took, u, err := c.StepUndo(el)
 		if err != nil {
 			return bail(err)
 		}
 		if !took {
 			continue
 		}
+		nm, err := w.observe(mon, el, rec)
+		if err != nil {
+			return false, err
+		}
 		nc := crashes
 		if el.Crash {
 			nc++
 		}
-		ck, kerr := w.kr.key(c, nc, e.maxCrashes)
+		ck, kerr := w.kr.key(c, nc, e.maxCrashes, nm)
 		u.Revert()
 		if kerr != nil {
 			return bail(kerr)
@@ -1033,7 +1093,7 @@ func (w *wsWorker) tryAmple(f *wsFrame, crashes int) (bool, error) {
 			if el.Crash {
 				nc++
 			}
-			key, err = w.kr.key(c, nc, e.maxCrashes)
+			key, err = w.kr.key(c, nc, e.maxCrashes, 0) // POR runs carry no monitor
 			if err != nil {
 				u.Revert()
 				return false, err
@@ -1100,12 +1160,16 @@ func (w *wsWorker) explore() error {
 				return err
 			}
 		}
-		_, took, u, err := w.cfg.StepUndo(el)
+		rec, took, u, err := w.cfg.StepUndo(el)
 		if err != nil {
 			return err
 		}
 		if !took {
 			continue
+		}
+		mon, err := w.observe(f.mon, el, rec)
+		if err != nil {
+			return err
 		}
 		w.path = append(w.path, el)
 		w.trail = append(w.trail, u)
@@ -1118,7 +1182,7 @@ func (w *wsWorker) explore() error {
 		if f.keys != nil {
 			key, haveKey = f.keys[i], true
 		}
-		pushed, verr := w.visit(nc, key, haveKey)
+		pushed, verr := w.visit(nc, mon, key, haveKey)
 		if verr != nil {
 			if !errors.Is(verr, errStopped) {
 				// Rewind the edge so it stays pending: the snapshot then

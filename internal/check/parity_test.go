@@ -250,8 +250,9 @@ func TestSymmetryCheckpointCertification(t *testing.T) {
 }
 
 // fingerprintKey keys a state on its legacy string fingerprint, the
-// reference partition the binary codec must reproduce.
-func fingerprintKey(c *machine.Config, crashes, maxCrashes int) (machine.StateKey, error) {
+// reference partition the binary codec must reproduce. Only unmonitored
+// subjects are keyed this way, so it ignores the monitor state.
+func fingerprintKey(c *machine.Config, crashes, maxCrashes int, _ uint64) (machine.StateKey, error) {
 	fp, err := c.Fingerprint()
 	if err != nil {
 		return machine.StateKey{}, err
@@ -271,14 +272,16 @@ func fingerprintKey(c *machine.Config, crashes, maxCrashes int) (machine.StateKe
 // there is no frontier, stealing or checkpointing. Exhaustive (the engine
 // at one worker) must match it bit for bit, including at budget-trip
 // points and in RME passage watermarks. It honours the reorder bound and
-// ignores POR.
+// the subject's path monitor the way the engine does — the monitor sees
+// each taken step before the target is keyed, and a flagged step ends the
+// walk with the witness path+e — and ignores POR.
 func cloneExhaustive(ctx context.Context, s *Subject, model machine.Model, opts Opts) (Result, error) {
 	return cloneWalk(ctx, s, model, opts, s.newKeyer(opts).key)
 }
 
 // cloneWalk is cloneExhaustive with the visited set keyed by keyOf.
 func cloneWalk(ctx context.Context, s *Subject, model machine.Model, opts Opts,
-	keyOf func(c *machine.Config, crashes, maxCrashes int) (machine.StateKey, error)) (Result, error) {
+	keyOf func(c *machine.Config, crashes, maxCrashes int, mon uint64) (machine.StateKey, error)) (Result, error) {
 	maxCrashes, err := opts.exhaustiveCrashBudget()
 	if err != nil {
 		return Result{}, err
@@ -297,9 +300,9 @@ func cloneWalk(ctx context.Context, s *Subject, model machine.Model, opts Opts,
 		ReorderBound:    root.ReorderBound(),
 	}
 
-	var dfs func(c *machine.Config, path machine.Schedule, crashes int) (bool, error)
-	dfs = func(c *machine.Config, path machine.Schedule, crashes int) (bool, error) {
-		key, err := keyOf(c, crashes, maxCrashes)
+	var dfs func(c *machine.Config, path machine.Schedule, crashes int, mon uint64) (bool, error)
+	dfs = func(c *machine.Config, path machine.Schedule, crashes int, mon uint64) (bool, error) {
+		key, err := keyOf(c, crashes, maxCrashes, mon)
 		if err != nil {
 			return false, err
 		}
@@ -340,18 +343,27 @@ func cloneWalk(ctx context.Context, s *Subject, model machine.Model, opts Opts,
 					return false, err
 				}
 				next := c.Clone()
-				_, took, err := next.Step(e)
+				rec, took, err := next.Step(e)
 				if err != nil {
 					return false, err
 				}
 				if !took {
 					continue
 				}
+				nm := mon
+				if s.Monitor != nil {
+					var bad bool
+					if nm, bad = s.Monitor(mon, rec); bad {
+						res.Violation = true
+						res.Witness = append(append(machine.Schedule(nil), path...), e)
+						return true, nil
+					}
+				}
 				nc := crashes
 				if e.Crash {
 					nc++
 				}
-				found, err := dfs(next, append(path, e), nc)
+				found, err := dfs(next, append(path, e), nc, nm)
 				if err != nil || found {
 					return found, err
 				}
@@ -360,7 +372,7 @@ func cloneWalk(ctx context.Context, s *Subject, model machine.Model, opts Opts,
 		return false, nil
 	}
 
-	_, err = dfs(root, nil, 0)
+	_, err = dfs(root, nil, 0, 0)
 	res.States = len(visited)
 	if err != nil || res.Violation {
 		res.Complete = false

@@ -3,14 +3,18 @@ package check
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"tradingfences/internal/machine"
 	"tradingfences/internal/run"
 )
 
-// nodeMemEstimate is the rough per-node retained cost of the progress
-// graph beyond the fingerprint: the cloned configuration plus adjacency.
-const nodeMemEstimate = 1024
+// graphNodeBytes is the memory the liveness graph retains per node — its
+// id-map entry, node record and share of the transition list — charged to
+// the budget on top of the visited-set entry. Measured as the live heap
+// the finished recorder holds, over its node count, on bakery n=3/PSO:
+// 99.5 B (3.2 transitions per node; BENCH_check.json, fcfs_liveness_engine).
+const graphNodeBytes = 100
 
 // ProgressResult reports the liveness analysis of a subject.
 type ProgressResult struct {
@@ -51,166 +55,42 @@ type ProgressResult struct {
 // deadlock detection would be vacuous; reverse reachability from the
 // terminal states is the right notion (a livelocked component fails it).
 //
-// The exploration is bounded by opts.Budget and cancelled by ctx. When the
-// state budget trips, the analysis finishes on the truncated graph
-// (Complete=false, DeadlockFree=false — proving nothing) and the partial
-// result is returned together with the *run.BudgetError. Fault plans are
-// rejected: the liveness notions above are defined for crash-free
-// executions. State-space reductions (Opts.Reduction) are rejected too:
-// the reduction soundness arguments cover reachability of
-// mutual-exclusion violations, not the successor-graph structure this
-// analysis inspects (an ample-reduced graph drops edges deadlock-freedom
-// must see, and bounded semantics drop whole executions).
+// The graph is recorded by the exploration engine at one worker (see
+// graphRecorder), which runs the weak obstruction-freedom check when it
+// first visits a state. The exploration is bounded by opts.Budget and
+// cancelled by ctx. When the state budget trips, the analysis finishes on
+// the truncated graph (Complete=false, DeadlockFree=false — proving
+// nothing) and the partial result is returned together with the
+// *run.BudgetError. Fault plans, symmetry, state-space reductions,
+// checkpoints and Workers > 1 are rejected (see Opts.unsupported).
 func (s *Subject) CheckProgress(ctx context.Context, model machine.Model, opts Opts) (*ProgressResult, error) {
-	if err := opts.noFaults("liveness analysis"); err != nil {
+	if err := opts.unsupported("liveness analysis", true); err != nil {
 		return nil, err
 	}
-	if err := opts.noReduction("liveness analysis"); err != nil {
+	opts.Workers = 1
+	g := &graphRecorder{s: s, ids: make(map[machine.StateKey]int32, 1024)}
+	out, err := s.runWS(ctx, model, opts, nil, g)
+	if err != nil && !run.IsLimit(err) {
 		return nil, err
 	}
-	meter := run.NewMeter(ctx, opts.Budget)
-	type node struct {
-		cfg    *machine.Config
-		parent int // node the exploration reached this state from (-1 root)
-		via    machine.Elem
-		succs  []int
-		term   bool // all processes halted
+	res := &ProgressResult{
+		States:              out.States,
+		Complete:            out.Complete,
+		WeakObstructionFree: g.wof == nil,
+		WOFWitness:          g.wof,
 	}
-
-	root, err := s.Build(model)
-	if err != nil {
-		return nil, err
-	}
-	res := &ProgressResult{Complete: true}
-
-	index := make(map[machine.StateKey]int, 1024)
-	var nodes []*node
-	var enc machine.KeyEncoder
-	var keyBuf []byte
-
-	intern := func(c *machine.Config, parent int, via machine.Elem) (int, bool, error) {
-		var err error
-		keyBuf, err = enc.AppendStateBytes(c, keyBuf[:0])
-		if err != nil {
-			return 0, false, err
-		}
-		key := machine.HashStateKey(keyBuf)
-		if id, ok := index[key]; ok {
-			return id, false, nil
-		}
-		// The graph retains a cloned configuration per node, so the memory
-		// estimate is dominated by the config, not the key.
-		if err := meter.AddState(machine.StateKeySize + nodeMemEstimate); err != nil {
-			return 0, false, err
-		}
-		id := len(nodes)
-		index[key] = id
-		nodes = append(nodes, &node{cfg: c, parent: parent, via: via})
-		return id, true, nil
-	}
-
-	// pathTo reconstructs the schedule from the root to node id.
-	pathTo := func(id int) machine.Schedule {
-		var rev machine.Schedule
-		for id >= 0 && nodes[id].parent != id {
-			if nodes[id].parent < 0 {
-				break
-			}
-			rev = append(rev, nodes[id].via)
-			id = nodes[id].parent
-		}
-		sched := make(machine.Schedule, len(rev))
-		for i := range rev {
-			sched[len(rev)-1-i] = rev[i]
-		}
-		return sched
-	}
-
-	rootID, _, err := intern(root, -1, machine.Elem{})
-	if err != nil {
-		return nil, err
-	}
-	work := []int{rootID}
-
-	var limitErr error
-explore:
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		nd := nodes[id]
-		c := nd.cfg
-
-		nd.term = c.AllHalted()
-
-		// Weak obstruction-freedom precondition: all but (at most) one
-		// process initial or final.
-		if err := s.checkWOFAt(c, res, func() machine.Schedule { return pathTo(id) }); err != nil {
-			return nil, err
-		}
-
-		for p := 0; p < c.N(); p++ {
-			if c.Halted(p) {
-				continue
-			}
-			elems := []machine.Elem{machine.PBottom(p)}
-			for _, r := range c.BufferRegs(p) {
-				if c.CanCommit(p, r) {
-					elems = append(elems, machine.PReg(p, r))
-				}
-			}
-			for _, e := range elems {
-				if err := meter.AddStep(); err != nil {
-					limitErr = err
-					break explore
-				}
-				// Clone only elements that will take (the graph retains a
-				// configuration per node, so dead clones are pure waste);
-				// Enabled reports true on would-be-error states, so errors
-				// still surface below.
-				if !c.Enabled(e) {
-					continue
-				}
-				next := c.Clone()
-				if _, took, err := next.Step(e); err != nil {
-					return nil, err
-				} else if !took {
-					continue
-				}
-				sid, fresh, err := intern(next, id, e)
-				if err != nil {
-					if !run.IsLimit(err) {
-						return nil, err
-					}
-					limitErr = err
-					break explore
-				}
-				nd.succs = append(nd.succs, sid)
-				if fresh {
-					work = append(work, sid)
-				}
-			}
-		}
-	}
-	if limitErr != nil {
-		res.Complete = false
-	}
-	res.States = len(nodes)
-
-	stuckPath := func(id int) machine.Schedule { return pathTo(id) }
 
 	// Reverse reachability from terminal states.
-	pred := make([][]int, len(nodes))
-	for id, nd := range nodes {
-		for _, sid := range nd.succs {
-			pred[sid] = append(pred[sid], id)
-		}
+	pred := make([][]int32, len(g.nodes))
+	for _, e := range g.edges {
+		pred[e.to] = append(pred[e.to], e.from)
 	}
-	canFinish := make([]bool, len(nodes))
-	var queue []int
-	for id, nd := range nodes {
+	canFinish := make([]bool, len(g.nodes))
+	var queue []int32
+	for id, nd := range g.nodes {
 		if nd.term {
 			canFinish[id] = true
-			queue = append(queue, id)
+			queue = append(queue, int32(id))
 		}
 	}
 	for len(queue) > 0 {
@@ -223,33 +103,84 @@ explore:
 			}
 		}
 	}
-	res.DeadlockFree = true
-	for id := range nodes {
+	for id := range g.nodes {
 		if !canFinish[id] {
-			res.DeadlockFree = false
 			res.StuckStates++
 			if res.StuckWitness == nil {
-				res.StuckWitness = stuckPath(id)
-				if res.StuckWitness == nil {
-					res.StuckWitness = machine.Schedule{}
-				}
+				res.StuckWitness = g.pathTo(int32(id))
 			}
 		}
 	}
-	if !res.Complete {
-		// With a truncated graph, absence of stuck states proves nothing.
-		res.DeadlockFree = false
-	}
-	res.WeakObstructionFree = res.WOFWitness == nil
-	return res, limitErr
+	// With a truncated graph, absence of stuck states proves nothing.
+	res.DeadlockFree = res.Complete && res.StuckStates == 0
+	return res, err
 }
 
-// checkWOFAt tests the weak obstruction-freedom condition at one state;
-// path lazily reconstructs the schedule for the witness.
-func (s *Subject) checkWOFAt(c *machine.Config, res *ProgressResult, path func() machine.Schedule) error {
-	if res.WOFWitness != nil {
-		return nil
+// graphRecorder is CheckProgress's record of the engine's exploration:
+// node ids in visit order, the DFS tree edge into each node (for
+// witnesses), each node's terminal flag, and every transition. It relies
+// on the run having one worker: the node a transition leaves is then the
+// one on the DFS path one step shallower.
+type graphRecorder struct {
+	s      *Subject
+	ids    map[machine.StateKey]int32
+	nodes  []graphNode
+	edges  []graphEdge
+	onPath []int32          // node ids along the engine's DFS path, by depth
+	wof    machine.Schedule // first schedule refuting WOF (nil: none yet)
+}
+
+type graphNode struct {
+	via    machine.Elem // the tree edge's step
+	parent int32        // -1 at the root
+	term   bool         // all processes halted
+}
+
+type graphEdge struct{ from, to int32 }
+
+// transition records the engine's step along path into c, keyed key. A
+// state seen for the first time becomes a node and gets the weak
+// obstruction-freedom check.
+func (g *graphRecorder) transition(c *machine.Config, path machine.Schedule, key machine.StateKey) error {
+	d := len(path)
+	id, seen := g.ids[key]
+	if !seen {
+		id = int32(len(g.nodes))
+		g.ids[key] = id
+		nd := graphNode{parent: -1, term: c.AllHalted()}
+		if d > 0 {
+			nd.via, nd.parent = path[d-1], g.onPath[d-1]
+		}
+		g.nodes = append(g.nodes, nd)
+		g.onPath = append(g.onPath[:d], id)
+		if g.wof == nil {
+			refuted, err := g.s.refutesWOF(c)
+			if err != nil {
+				return err
+			}
+			if refuted {
+				g.wof = append(machine.Schedule{}, path...)
+			}
+		}
 	}
+	if d > 0 {
+		g.edges = append(g.edges, graphEdge{from: g.onPath[d-1], to: id})
+	}
+	return nil
+}
+
+// pathTo follows tree edges back from node id to the root.
+func (g *graphRecorder) pathTo(id int32) machine.Schedule {
+	sched := machine.Schedule{}
+	for ; g.nodes[id].parent >= 0; id = g.nodes[id].parent {
+		sched = append(sched, g.nodes[id].via)
+	}
+	slices.Reverse(sched)
+	return sched
+}
+
+// refutesWOF tests the weak obstruction-freedom condition at one state.
+func (s *Subject) refutesWOF(c *machine.Config) (bool, error) {
 	// The paper's condition quantifies over every process p such that all
 	// *other* processes are initial or final. With at most one
 	// mid-execution process, that process must solo-terminate; if all
@@ -261,7 +192,7 @@ func (s *Subject) checkWOFAt(c *machine.Config, res *ProgressResult, path func()
 			continue
 		}
 		if active >= 0 {
-			return nil // two mid-execution processes: precondition fails
+			return false, nil // two mid-execution processes: precondition fails
 		}
 		active = p
 	}
@@ -276,20 +207,15 @@ func (s *Subject) checkWOFAt(c *machine.Config, res *ProgressResult, path func()
 		}
 	}
 	for _, p := range candidates {
-		clone := c.Clone()
-		halted, err := clone.RunSolo(p, machine.DefaultSoloLimit(c.N()))
+		halted, err := c.Clone().RunSolo(p, machine.DefaultSoloLimit(c.N()))
 		if err != nil {
-			return err
+			return false, err
 		}
 		if !halted {
-			res.WOFWitness = path()
-			if res.WOFWitness == nil {
-				res.WOFWitness = machine.Schedule{}
-			}
-			return nil
+			return true, nil
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // String renders a one-line summary.

@@ -2,6 +2,8 @@ package check
 
 import (
 	"errors"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"tradingfences/internal/locks"
@@ -152,6 +154,141 @@ func TestProgressTruncatedIsInconclusive(t *testing.T) {
 	}
 	if res.DeadlockFree {
 		t.Fatal("truncated exploration must not claim deadlock freedom")
+	}
+}
+
+// TestProgressPinnedGraph pins the liveness graph of every lock in the
+// suite under every model, and checks that each witness replays into a
+// state that really refutes its property.
+func TestProgressPinnedGraph(t *testing.T) {
+	cases := []struct {
+		name         string
+		ctor         locks.Constructor
+		states       [3]int // SC, TSO, PSO
+		stuck        int
+		deadlockFree bool
+		wof          bool
+	}{
+		{"peterson", locks.NewPeterson, [3]int{511, 633, 633}, 0, true, true},
+		{"bakery", locks.NewBakery, [3]int{682, 936, 936}, 0, true, true},
+		{"tournament", locks.NewTournament, [3]int{511, 633, 633}, 0, true, true},
+		{"deadlock-demo", locks.NewDeadlockDemo, [3]int{110, 149, 149}, 9, false, true},
+		{"rendezvous-demo", locks.NewRendezvousDemo, [3]int{106, 136, 136}, 24, false, false},
+	}
+	for _, tc := range cases {
+		for i, m := range allModels {
+			what := tc.name + "/" + m.String()
+			s := mustSubject(t, tc.name, tc.ctor, 2)
+			res, err := s.CheckProgress(bg(), m, statesOpt(3_000_000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Complete || res.States != tc.states[i] || res.StuckStates != tc.stuck ||
+				res.DeadlockFree != tc.deadlockFree || res.WeakObstructionFree != tc.wof {
+				t.Fatalf("%s: %v, want states=%d stuck=%d deadlockFree=%v weakObstructionFree=%v",
+					what, res, tc.states[i], tc.stuck, tc.deadlockFree, tc.wof)
+			}
+			if (res.StuckWitness != nil) != (tc.stuck > 0) || (res.WOFWitness != nil) != !tc.wof {
+				t.Fatalf("%s: witnesses do not match the verdicts: %v", what, res)
+			}
+			if res.StuckWitness != nil {
+				c := replayed(t, s, m, res.StuckWitness)
+				if err := machine.RunRoundRobin(c, 10_000); !errors.Is(err, machine.ErrStepLimit) {
+					t.Fatalf("%s: stuck witness replays to a state round-robin completes from (%v)", what, err)
+				}
+			}
+			if res.WOFWitness != nil {
+				requireWOFRefuted(t, what, replayed(t, s, m, res.WOFWitness))
+			}
+		}
+	}
+}
+
+// replayed executes a witness schedule on a fresh configuration.
+func replayed(t *testing.T, s *Subject, m machine.Model, w machine.Schedule) *machine.Config {
+	t.Helper()
+	c, err := s.Build(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(w); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// requireWOFRefuted demands that c meets weak obstruction-freedom's
+// precondition (at most one process is neither initial nor final) and that
+// a process it obliges to finish solo does not.
+func requireWOFRefuted(t *testing.T, what string, c *machine.Config) {
+	t.Helper()
+	var mid, idle []int
+	for p := 0; p < c.N(); p++ {
+		switch {
+		case c.Halted(p):
+		case c.Stats().Steps[p] == 0:
+			idle = append(idle, p)
+		default:
+			mid = append(mid, p)
+		}
+	}
+	if len(mid) > 1 {
+		t.Fatalf("%s: WOF witness leaves processes %v mid-execution", what, mid)
+	}
+	obliged := mid
+	if len(mid) == 0 {
+		obliged = idle
+	}
+	for _, p := range obliged {
+		halted, err := c.Clone().RunSolo(p, machine.DefaultSoloLimit(c.N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !halted {
+			return
+		}
+	}
+	t.Fatalf("%s: every obliged process %v finishes solo from the WOF witness", what, obliged)
+}
+
+// The liveness graph covers exactly the state space the mutual-exclusion
+// proof covers.
+func TestProgressVisitsExhaustiveStates(t *testing.T) {
+	s := mustSubject(t, "bakery", locks.NewBakery, 3)
+	proof, err := s.Exhaustive(bg(), machine.PSO, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.CheckProgress(bg(), machine.PSO, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !proof.Complete || !res.Complete || proof.States != 77_594 || res.States != proof.States {
+		t.Fatalf("liveness visited %d states, the proof %d (want 77,594)", res.States, proof.States)
+	}
+	if !res.DeadlockFree || !res.WeakObstructionFree {
+		t.Fatalf("bakery n=3/PSO liveness: %v", res)
+	}
+}
+
+// The liveness analysis fails closed on the options it cannot honour,
+// naming each.
+func TestProgressRejectsUnsupportedOptions(t *testing.T) {
+	s := mustSubject(t, "peterson", locks.NewPeterson, 2)
+	for _, tc := range []struct {
+		opts Opts
+		name string
+	}{
+		{Opts{Symmetry: true}, "Symmetry"},
+		{Opts{Workers: 2}, "Workers"},
+		{Opts{Checkpoint: &CheckpointPolicy{Path: filepath.Join(t.TempDir(), "ck.json")}}, "Checkpoint"},
+	} {
+		if _, err := s.CheckProgress(bg(), machine.PSO, tc.opts); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("liveness accepted %s: %v", tc.name, err)
+		}
+	}
+	if _, err := s.CheckProgress(bg(), machine.PSO, Opts{Workers: 1}); err != nil {
+		t.Fatalf("one explicit worker rejected: %v", err)
 	}
 }
 

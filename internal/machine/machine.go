@@ -462,46 +462,6 @@ func (c *Config) PoisedAtFence(p int) bool {
 	return err == nil && ok && op.Kind == lang.OpFence
 }
 
-// Enabled reports whether the schedule element e would produce a step from
-// the current configuration. It is a cheap pre-screen for clone-based
-// explorers: cloning happens only for elements that will take. The
-// contract is one-sided — Enabled returns false only when Step(e) is
-// guaranteed to be a no-op (took=false, err=nil); configurations where
-// Step would surface an error report true, so error states are still
-// discovered by the explorer that clones and steps.
-//
-// Like Step, Enabled may settle process e.P's pending local computation;
-// settling never changes behavioural state (state keys and fingerprints
-// are settle-invariant).
-func (c *Config) Enabled(e Elem) bool {
-	p := e.P
-	if p < 0 || p >= c.n {
-		return true // let Step surface ErrBadPID
-	}
-	ps := c.procs[p]
-	if e.Crash {
-		return !ps.Halted()
-	}
-	if ps.Halted() {
-		return false
-	}
-	if e.HasReg && c.wbs[p].canCommit(e.Reg) && !c.faults.stalled(p, e.Reg, c.steps) {
-		return true
-	}
-	op, ok, err := ps.NextOp()
-	if err != nil {
-		return true // let Step surface the interpreter error
-	}
-	if !ok {
-		return false
-	}
-	if (op.Kind == lang.OpFence || op.Kind == lang.OpTAS) && c.wbs[p].len() > 0 {
-		_, can := c.drainCandidate(p)
-		return can
-	}
-	return !c.reorderBlocked(p)
-}
-
 // Step executes the schedule element e and returns the resulting step
 // record. took=false means the element produced the empty execution (the
 // process was already in a final state).

@@ -256,25 +256,7 @@ func CheckMutexCtx(ctx context.Context, spec LockSpec, n, passages int, model Me
 // it in.
 func checkSubject(ctx context.Context, subject *check.Subject, lockName string, n, passages int, model MemoryModel, opts CheckOptions, chkOpts check.Opts) (*MutexVerdict, error) {
 	res, xerr := subject.ExhaustiveParallel(ctx, model.internal(), chkOpts)
-	v := &MutexVerdict{
-		Model:    model,
-		Mode:     ModeExhaustive,
-		Violated: res.Violation,
-		// A complete clean run under a reorder bound is a bounded
-		// certificate, not a proof: the bounded graph under-approximates
-		// the full semantics. POR needs no such demotion — it preserves
-		// verdicts exactly.
-		Proved:          res.Complete && !res.Violation && res.ReorderBound == 0,
-		States:          res.States,
-		SymmetryApplied: res.SymmetryApplied,
-		Coverage: Coverage{
-			ExhaustiveStates: res.States,
-			ReorderBound:     res.ReorderBound,
-			BoundedComplete:  res.ReorderBound > 0 && res.Complete && !res.Violation,
-			POR:              res.PORApplied,
-		},
-		Passages: res.Passages,
-	}
+	v := exhaustiveVerdict(model, res)
 	wsched := res.Witness
 	if xerr != nil {
 		var be *run.BudgetError
@@ -308,6 +290,28 @@ func checkSubject(ctx context.Context, subject *check.Subject, lockName string, 
 		return v, aerr
 	}
 	return v, nil
+}
+
+// exhaustiveVerdict lowers an exhaustive engine result to a verdict with a
+// zero Lock spec. A complete clean run under a reorder bound is a bounded
+// certificate, not a proof: the bounded graph under-approximates the full
+// semantics. POR needs no such demotion — it preserves verdicts exactly.
+func exhaustiveVerdict(model MemoryModel, res check.Result) *MutexVerdict {
+	return &MutexVerdict{
+		Model:           model,
+		Mode:            ModeExhaustive,
+		Violated:        res.Violation,
+		Proved:          res.Complete && !res.Violation && res.ReorderBound == 0,
+		States:          res.States,
+		SymmetryApplied: res.SymmetryApplied,
+		Coverage: Coverage{
+			ExhaustiveStates: res.States,
+			ReorderBound:     res.ReorderBound,
+			BoundedComplete:  res.ReorderBound > 0 && res.Complete && !res.Violation,
+			POR:              res.PORApplied,
+		},
+		Passages: res.Passages,
+	}
 }
 
 // CheckMutex model-checks mutual exclusion of the lock for n processes
@@ -370,10 +374,17 @@ type LivenessVerdict struct {
 // `passages` passages each) under the given memory model and verifies
 // deadlock freedom and weak obstruction-freedom, bounded by opts.Budget and
 // cancelled by ctx. Budget trips return the partial (inconclusive) verdict
-// together with the structured error. Fault plans are rejected: the
-// liveness analysis is defined for crash-free executions.
+// together with the structured error. The graph is recorded by the
+// exploration engine at one worker without snapshots. Fault plans,
+// Symmetry, the reductions, Workers > 1, CheckpointPath and
+// CheckpointEvery are rejected rather than silently ignored: the analysis
+// is defined for crash-free executions, and the symmetry and reduction
+// soundness arguments do not cover its successor graph.
 func CheckLivenessCtx(ctx context.Context, spec LockSpec, n, passages int, model MemoryModel, opts CheckOptions) (v *LivenessVerdict, err error) {
 	defer run.Recover("check liveness", &err)
+	if err := opts.oneWorker("liveness checking"); err != nil {
+		return nil, err
+	}
 	subject, err := newMutexSubject(spec, n, passages)
 	if err != nil {
 		return nil, err
@@ -381,10 +392,10 @@ func CheckLivenessCtx(ctx context.Context, spec LockSpec, n, passages int, model
 	res, cerr := subject.CheckProgress(ctx, model.internal(), check.Opts{
 		Budget: opts.Budget,
 		Faults: opts.Faults,
-		// Threaded so the liveness checker rejects reductions loudly: its
-		// successor-graph analysis is not covered by the reduction
-		// soundness arguments, and silently dropping the flags would let a
-		// reduced-looking run masquerade as a full liveness proof.
+		// Threaded so the liveness checker rejects them loudly: silently
+		// dropping the flags would let a run that honoured none of them
+		// masquerade as what the caller asked for.
+		Symmetry:  opts.Symmetry,
 		Reduction: check.Reduction{ReorderBound: opts.ReorderBound, POR: opts.POR},
 	})
 	if cerr != nil && (res == nil || !run.IsLimit(cerr)) {

@@ -47,23 +47,8 @@ type SupervisedAttempt = supervise.Attempt
 // packages the witness of whichever phase found the violation.
 func supervisedVerdict(ctx context.Context, subject *check.Subject, spec LockSpec, n, passages int, model MemoryModel, out *supervise.Outcome, faults *FaultPlan) (*MutexVerdict, error) {
 	res := out.Result
-	v := &MutexVerdict{
-		Lock:            spec,
-		Model:           model,
-		Mode:            ModeExhaustive,
-		Violated:        res.Violation,
-		// A bounded-semantics completion is a bounded certificate, not a
-		// proof (same suppression as the unsupervised path).
-		Proved:          res.Complete && !res.Violation && res.ReorderBound == 0,
-		States:          res.States,
-		SymmetryApplied: res.SymmetryApplied,
-		Coverage: Coverage{
-			ExhaustiveStates: res.States,
-			ReorderBound:     res.ReorderBound,
-			BoundedComplete:  res.ReorderBound > 0 && res.Complete && !res.Violation,
-			POR:              res.PORApplied,
-		},
-	}
+	v := exhaustiveVerdict(model, res)
+	v.Lock = spec
 	wsched := res.Witness
 	if out.Mode == supervise.ModeDegraded {
 		v.Mode = ModeDegraded
@@ -184,21 +169,8 @@ func ResumeMutexCheckCtx(ctx context.Context, path string, opts CheckOptions) (v
 	opts.POR = ck.POR
 	opts.CheckpointPath = path
 	res, xerr := subject.ResumeExhaustiveParallel(ctx, model.internal(), ck, opts.checkOpts("mutex", spec.String(), n, passages))
-	v = &MutexVerdict{
-		Lock:            spec,
-		Model:           model,
-		Mode:            ModeExhaustive,
-		Violated:        res.Violation,
-		Proved:          res.Complete && !res.Violation && res.ReorderBound == 0,
-		States:          res.States,
-		SymmetryApplied: res.SymmetryApplied,
-		Coverage: Coverage{
-			ExhaustiveStates: res.States,
-			ReorderBound:     res.ReorderBound,
-			BoundedComplete:  res.ReorderBound > 0 && res.Complete && !res.Violation,
-			POR:              res.PORApplied,
-		},
-	}
+	v = exhaustiveVerdict(model, res)
+	v.Lock = spec
 	if xerr != nil {
 		v.Proved = false
 		if run.IsLimit(xerr) {

@@ -128,8 +128,8 @@ func TestResumeReconstructsCrashBudget(t *testing.T) {
 	}
 }
 
-// FCFS checking runs its own single-threaded walker: the worker and
-// checkpoint options are rejected, not silently ignored.
+// FCFS checking runs the engine at one worker without snapshots: the
+// worker and checkpoint options are rejected, not silently ignored.
 func TestCheckFCFSRejectsParallelOptions(t *testing.T) {
 	ctx := context.Background()
 	if _, err := CheckFCFSCtx(ctx, LockSpec{Kind: Bakery}, 2, PSO, CheckOptions{Workers: 2}); err == nil {
@@ -137,6 +137,25 @@ func TestCheckFCFSRejectsParallelOptions(t *testing.T) {
 	}
 	if _, err := CheckFCFSCtx(ctx, LockSpec{Kind: Bakery}, 2, PSO, CheckOptions{CheckpointPath: "ck.json"}); err == nil {
 		t.Fatal("FCFS checking accepted CheckpointPath")
+	}
+}
+
+// Liveness checking records its graph with one engine worker and no
+// snapshots: every option it cannot honour is rejected by name.
+func TestCheckLivenessRejectsUnsupportedOptions(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		opts CheckOptions
+		name string
+	}{
+		{CheckOptions{Symmetry: true}, "Symmetry"},
+		{CheckOptions{Workers: 2}, "Workers"},
+		{CheckOptions{CheckpointPath: "ck.json"}, "CheckpointPath"},
+		{CheckOptions{CheckpointEvery: 64}, "CheckpointEvery"},
+	} {
+		if _, err := CheckLivenessCtx(ctx, LockSpec{Kind: Peterson}, 2, 1, PSO, tc.opts); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("liveness checking accepted %s: %v", tc.name, err)
+		}
 	}
 }
 
