@@ -78,10 +78,11 @@ type CheckOptions struct {
 	Symmetry bool
 	// Workers sizes the work-stealing explorer's goroutine pool; 0 (the
 	// default) runs it with one worker. One worker is deterministic
-	// (verdict, witness schedule, state count, budget-trip point) and
-	// reduces hardest under POR; at higher counts verdicts and complete-run
-	// state counts stay exact (POR counts excepted), but which witness is
-	// found first and where a budget trips become scheduling-dependent.
+	// (verdict, witness schedule, state count, budget-trip point); at
+	// higher counts verdicts and complete-run state counts stay exact, POR
+	// included (POR counts under Symmetry are not claimed exact), but which
+	// witness is found first and where a budget trips become
+	// scheduling-dependent.
 	// Workers above 1 and the checkpoint fields apply to mutual-exclusion
 	// checking; CheckFCFSCtx and CheckLivenessCtx run one engine worker
 	// without snapshots and reject them rather than silently ignoring them.
@@ -110,10 +111,10 @@ type CheckOptions struct {
 	// exhaustive mutual-exclusion checking: provably independent
 	// commit/step interleavings are explored once. Verdicts and witness
 	// replayability are preserved, so a complete violation-free POR run is
-	// still a full proof (Proved stays true); state counts shrink, most on
-	// a fresh one-worker run, whose cycle proviso checks the DFS stack
-	// rather than the visited set. Liveness and FCFS checking reject the
-	// flag.
+	// still a full proof (Proved stays true); state counts shrink, by the
+	// same amount at every worker count and after a resume (the cycle
+	// proviso is decided from the program; counts under Symmetry are not
+	// claimed exact). Liveness and FCFS checking reject the flag.
 	POR bool
 }
 

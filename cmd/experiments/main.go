@@ -547,10 +547,10 @@ func runE15(ctx context.Context, quick bool) (*table, error) {
 			"violation-free completions are bounded certificates, never proofs). " +
 			"`states` is the visited count on complete runs and the " +
 			"states-to-witness on VIOLATED rows; `vs full` compares the two. " +
-			"POR expands ample sets; with -workers > 1 their cycle proviso checks " +
-			"the visited set instead of the DFS stack, so reduced counts grow but " +
-			"verdicts hold. The n >= 4 budget-trip rows live in BENCH_check.json's " +
-			"reduction section.",
+			"POR expands ample sets under a static cycle proviso (decided from " +
+			"the program), so reduced counts are the same at every -workers value " +
+			"(symmetric runs excepted). The n >= 4 budget-trip rows live in " +
+			"BENCH_check.json's reduction section.",
 		Headers: []string{"lock", "n", "model", "mode", "verdict", "states", "vs full"},
 	}
 	runOne := func(spec tradingfences.LockSpec, n int, model tradingfences.MemoryModel, por bool, bound int) (*tradingfences.MutexVerdict, error) {

@@ -182,11 +182,11 @@ type Result struct {
 	// witness replays identically under the full semantics.
 	ReorderBound int
 	// PORApplied reports that ample-set partial-order reduction was in
-	// force; States then counts the reduced graph, which depends on the
-	// cycle proviso the run used (see ExhaustiveParallel). Verdicts are
-	// preserved exactly (the reduction is sound for the occupancy
-	// invariant), so a Complete violation-free POR run is still a full
-	// proof.
+	// force; States then counts the reduced graph, the same at every
+	// worker count and after a resume (symmetric runs excepted; see
+	// ExhaustiveParallel). Verdicts are preserved exactly (the reduction
+	// is sound for the occupancy invariant), so a Complete violation-free
+	// POR run is still a full proof.
 	PORApplied bool
 	// Passages aggregates recoverable-passage RMR accounting when the
 	// subject declares passage probes (nil otherwise, and nil on resumed

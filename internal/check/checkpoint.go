@@ -161,10 +161,11 @@ type Checkpoint struct {
 	ReorderBound int `json:"reorder_bound,omitempty"`
 	// POR records whether ample-set partial-order reduction was in force.
 	// A reduced frontier does not cover the unreduced graph's pending
-	// successors (and vice versa: an unreduced visited set makes the
-	// reduced run's proviso checks meaningless for certification), so
+	// successors, and an unreduced resume of it would not either, so
 	// resume requires the same mode and rejects a mismatch with
-	// ErrCheckpointDrift.
+	// ErrCheckpointDrift. The cycle proviso is static, so it needs no
+	// field: a POR snapshot written under the older run-time provisos
+	// resumes soundly under the static one (DESIGN.md §5j).
 	POR bool `json:"por,omitempty"`
 	// RootFP is the hex StateKey of the fresh initial configuration.
 	// Binary keys are build-stable, so any process that rebuilds the same

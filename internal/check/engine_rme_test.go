@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"tradingfences/internal/check"
@@ -27,10 +28,9 @@ func oneCrash() check.Opts {
 }
 
 // TestOneWorkerPORStateCounts pins the reduced state counts of the
-// benchmark proofs at one worker, where a fresh run checks the ample
-// cycle proviso against its DFS stack. The visited-set proviso that runs
-// with more workers gives 63,130 and 170,114 states on the first two, so
-// a fallback to it fails here.
+// benchmark proofs, and requires every worker count to visit exactly them:
+// the cycle proviso is static (lang.Program.FenceOnlyLoop), so a node's
+// ample set does not depend on which worker reaches it, or when.
 func TestOneWorkerPORStateCounts(t *testing.T) {
 	gt2 := func(l *machine.Layout, nm string, n int) (*locks.Algorithm, error) {
 		return locks.NewGT(l, nm, n, 2)
@@ -53,20 +53,86 @@ func TestOneWorkerPORStateCounts(t *testing.T) {
 		{"bakery n=3/PSO", bakery, machine.PSO, check.Opts{}, 30066},
 		{"GT_2 n=3/PSO", gt, machine.PSO, check.Opts{}, 49580},
 		{"rtas n=3/SC/1-crash", rmeSubject(t, "rtas", 3), machine.SC, oneCrash(), 39288},
+		{"rbakery n=3/PSO/1-crash", rmeSubject(t, "rbakery", 3), machine.PSO, oneCrash(), 405098},
 	} {
-		opts := tc.opts
-		opts.Reduction = check.Reduction{POR: true}
-		res, err := tc.s.Exhaustive(context.Background(), tc.model, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !res.Complete || res.Violation || !res.PORApplied {
-			t.Fatalf("%s: POR run did not prove: %+v", tc.name, res)
-		}
-		if res.States != tc.want {
-			t.Fatalf("%s: %d states under POR at one worker, want %d", tc.name, res.States, tc.want)
+		for _, workers := range []int{1, 2, 4} {
+			opts := tc.opts
+			opts.Workers = workers
+			opts.Reduction = check.Reduction{POR: true}
+			res, err := tc.s.ExhaustiveParallel(context.Background(), tc.model, opts)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			if !res.Complete || res.Violation || !res.PORApplied {
+				t.Fatalf("%s workers=%d: POR run did not prove: %+v", tc.name, workers, res)
+			}
+			if res.States != tc.want {
+				t.Fatalf("%s: %d states under POR at %d workers, want %d", tc.name, res.States, workers, tc.want)
+			}
 		}
 	}
+}
+
+// TestNoShippedProgramHasFenceOnlyLoop: no lock in internal/locks and no
+// recoverable lock of rme.Locks has a fence-only loop, so the static cycle
+// proviso takes nothing from their reductions. Two-process locks reject
+// n > 2; every other constructor is swept at n = 2..4, GT at heights 1
+// and 2.
+func TestNoShippedProgramHasFenceOnlyLoop(t *testing.T) {
+	ctors := map[string]locks.Constructor{
+		"bakery":           locks.NewBakery,
+		"bakery-tso":       locks.NewBakeryTSO,
+		"bakery-literal":   locks.NewBakeryLiteral,
+		"bakery-nofence":   locks.NewBakeryNoFence,
+		"peterson":         locks.NewPeterson,
+		"peterson-tso":     locks.NewPetersonTSO,
+		"peterson-nofence": locks.NewPetersonNoFence,
+		"filter":           locks.NewFilter,
+		"tournament":       locks.NewTournament,
+		"deadlock-demo":    locks.NewDeadlockDemo,
+		"rendezvous-demo":  locks.NewRendezvousDemo,
+	}
+	for f := 1; f <= 2; f++ {
+		ctors[fmt.Sprintf("gt%d", f)] = func(l *machine.Layout, nm string, n int) (*locks.Algorithm, error) {
+			return locks.NewGT(l, nm, n, f)
+		}
+	}
+	for name, ctor := range rme.Locks {
+		ctors[name] = ctor
+	}
+	checked := 0
+	for name, ctor := range ctors {
+		for n := 2; n <= 4; n++ {
+			s, err := check.NewMutexSubject(name, ctor, n, 2)
+			if err != nil {
+				if n == 2 {
+					t.Fatalf("%s n=2: %v", name, err)
+				}
+				continue
+			}
+			subjects := []*check.Subject{s}
+			if _, ok := rme.Locks[name]; ok {
+				rs, err := rme.NewSubject(name, n, 2)
+				if err != nil {
+					t.Fatalf("%s n=%d: %v", name, n, err)
+				}
+				subjects = append(subjects, rs)
+			}
+			for _, s := range subjects {
+				c, err := s.Build(machine.PSO)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := 0; p < c.N(); p++ {
+					if c.Proc(p).Program().FenceOnlyLoop() {
+						t.Errorf("%s n=%d: process %d's program has a fence-only loop", s.Name, n, p)
+					}
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d subjects checked", checked)
 }
 
 // TestParallelWorkerCountInvarianceRME: complete recoverable proofs visit

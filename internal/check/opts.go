@@ -49,11 +49,11 @@ type Opts struct {
 	// Workers sizes the worker pool of the work-stealing engine
 	// (ExhaustiveParallel). 0 resolves to runtime.NumCPU(); an explicit 1
 	// runs single-threaded, which is exactly Exhaustive (verdict, witness
-	// schedule, state count and budget-trip point) and, under POR, the
-	// only setting whose fresh runs use the on-stack cycle proviso. With
-	// more than one worker, verdicts and complete-run state counts stay
-	// exact (reduced counts excepted), but which witness is found first and
-	// where a budget trips become scheduling-dependent. Negative values
+	// schedule, state count and budget-trip point). With more than one
+	// worker, verdicts and complete-run state counts stay exact, POR
+	// included (POR counts under symmetry keying excepted), but which
+	// witness is found first and where a budget trips become
+	// scheduling-dependent. Negative values
 	// behave like 1. Exhaustive ignores this field: it always runs one
 	// worker. CheckProgress rejects values above 1: its graph is recorded
 	// by a single worker.
@@ -110,12 +110,14 @@ type Reduction struct {
 	// POR enables commit-step partial-order reduction: singleton ample
 	// sets over processes whose next operation is process-local (a
 	// buffered write under TSO/PSO, a fence over an empty buffer, a
-	// return), guarded by an in-CS visibility check and a cycle proviso.
-	// The proviso checks the DFS stack on a fresh one-worker run and the
-	// visited set otherwise (more workers, or a resumed run), so reduced
-	// state counts depend on the worker count. Verdicts and witness
-	// replayability are preserved (parity suite); state counts shrink.
-	// Complete violation-free runs remain full proofs.
+	// return), guarded by an in-CS visibility check and a static cycle
+	// proviso: a fence of a program with a fence-only loop is never ample
+	// (lang.Program.FenceOnlyLoop). Reduced state counts therefore depend
+	// only on the subject, the model and the options — the same at every
+	// worker count and after a resume, except under symmetry keying, where
+	// they are not claimed exact. Verdicts and witness replayability are
+	// preserved (parity suite); state counts shrink. Complete
+	// violation-free runs remain full proofs.
 	POR bool
 }
 

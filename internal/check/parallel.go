@@ -24,10 +24,12 @@
 // descent, so verdict, witness schedule, state count and budget-trip point
 // are the same on every run — and, without reductions, bit-identical to
 // the clone-per-edge reference walker of parity_test.go. With Workers>1
-// the verdict and — on complete unreduced runs — the state count and step
-// total are still exact, but traversal order is scheduling-dependent:
-// which violation witness is found first, and where a budget trips, may
-// vary between runs. Snapshots taken by this engine are certified as an
+// the verdict and — on complete runs, POR included (its cycle proviso is
+// static; see por.go) — the state count and step total are still exact,
+// but traversal order is scheduling-dependent: which violation witness is
+// found first, and where a budget trips, may vary between runs. POR
+// counts under symmetry keying are left out of the exactness claim (see
+// ExhaustiveParallel). Snapshots taken by this engine are certified as an
 // explicit mode in checkpoint schema v4 (Checkpoint.Engine); level-sync v2
 // and v3 snapshots fail closed with ErrCheckpointDrift.
 package check
@@ -123,12 +125,11 @@ type wsStackFrame struct {
 type wsFrame struct {
 	elems   []machine.Elem
 	keys    []machine.StateKey
-	key     machine.StateKey // the node's own key (on-stack cycle proviso)
-	next    int              // cursor: elems[next:end] are pending
-	end     int              // donations shrink end from the right
-	crashes int              // crash budget spent at this frame's node
-	mon     uint64           // path-monitor state at this frame's node
-	depth   int              // len(path) at this frame's node
+	next    int    // cursor: elems[next:end] are pending
+	end     int    // donations shrink end from the right
+	crashes int    // crash budget spent at this frame's node
+	mon     uint64 // path-monitor state at this frame's node
+	depth   int    // len(path) at this frame's node
 }
 
 // wsEngine is the shared coordination state of one run.
@@ -150,10 +151,6 @@ type wsEngine struct {
 	symmetry   bool
 	bound      int  // resolved reorder bound (0 under SC: honest no-op)
 	por        bool // ample-set partial-order reduction in force
-	// stackProviso selects the ample cycle proviso: on a fresh one-worker
-	// run an ample successor is rejected only when it is on the DFS stack;
-	// otherwise (more workers, or any resumed run) when it is visited.
-	stackProviso bool
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -221,12 +218,12 @@ type wsWorker struct {
 // witness is found and where a budget trips become scheduling-dependent
 // (see the package comment).
 //
-// Under Opts.Reduction.POR the engine expands ample sets (see por.go). The
-// cycle proviso follows the run: a fresh one-worker run rejects an ample
-// successor on its own DFS stack, while runs with more workers — which
-// share no stack — reject any visited one. Verdicts match the unreduced
-// explorer either way, but the visited proviso reduces less, and at
-// Workers>1 its state counts are scheduling-dependent.
+// Under Opts.Reduction.POR the engine expands ample sets (see por.go).
+// Their cycle proviso is decided from the program, not from the run, so a
+// node's ample set depends only on its configuration: complete POR runs
+// visit the same states at every worker count and after any resume.
+// Under symmetry keying the orbit member a worker reaches first picks the
+// ample set, so symmetric POR counts are not claimed exact; verdicts are.
 func (s *Subject) ExhaustiveParallel(ctx context.Context, model machine.Model, opts Opts) (Result, error) {
 	return s.runWS(ctx, model, opts, nil, nil)
 }
@@ -237,9 +234,11 @@ func (s *Subject) ExhaustiveParallel(ctx context.Context, model machine.Model, o
 // mode and the engine must match (ErrCheckpointDrift otherwise), and every
 // pending schedule must replay on a fresh build. Meter usage is preloaded
 // so opts.Budget spans the whole logical run; the wall clock restarts (see
-// run.SharedMeter.Preload). A resumed POR run checks the visited-set cycle
-// proviso at every worker count (DESIGN.md §5j). Subjects with a path
-// monitor never write snapshots, so they have nothing to resume.
+// run.SharedMeter.Preload). A resumed POR run reduces exactly as a fresh
+// one does, so a complete resume visits the fresh run's states; a v5
+// snapshot written under the older run-time cycle provisos resumes soundly
+// too (DESIGN.md §5j). Subjects with a path monitor never write
+// snapshots, so they have nothing to resume.
 func (s *Subject) ResumeExhaustiveParallel(ctx context.Context, model machine.Model, ck *Checkpoint, opts Opts) (Result, error) {
 	if s.Monitor != nil {
 		return Result{}, errors.New("check: checking under a path monitor does not support snapshots; nothing to resume")
@@ -297,7 +296,6 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 		e.bound = opts.Reduction.ReorderBound
 	}
 	e.por = opts.Reduction.POR
-	e.stackProviso = e.por && workers == 1 && rs == nil
 	res := Result{
 		Complete:        true,
 		SymmetryApplied: e.symmetry,
@@ -943,7 +941,7 @@ func (w *wsWorker) expand(crashes int, mon uint64, nodeKey machine.StateKey) (bo
 	e := w.e
 	c := w.cfg
 	f := w.pushFrame(crashes)
-	f.key, f.mon = nodeKey, mon
+	f.mon = mon
 	ample := false
 	if e.por {
 		var err error
@@ -1053,13 +1051,14 @@ func (w *wsWorker) expand(crashes int, mon uint64, nodeKey machine.StateKey) (bo
 // tryAmple attempts to reduce the node to a singleton-process ample set
 // (see por.go for the independence argument: a process with an empty write
 // buffer poised at a buffered write, fence or return touches only its own
-// state). On success the frame is pre-populated with just that process's
-// transitions and true is returned; the caller then runs the normal charge
-// and pre-filter machinery over them. Every ample element must take, must
-// not move the ample process into the critical section (invisibility), and
-// must not close a cycle (closesCycle). Probe steps are speculative —
-// reverted, not metered — and none of the ample operation kinds touches
-// the passage log, so RME watermarks see no phantom records.
+// state, and the static cycle proviso is already in ampleCandidate). On
+// success the frame is pre-populated with just that process's transitions
+// and true is returned; the caller then runs the normal charge and
+// pre-filter machinery over them. Every ample element must take and must
+// not move the ample process into the critical section (invisibility).
+// Probe steps are speculative — reverted, not metered — and none of the
+// ample operation kinds touches the passage log, so RME watermarks see no
+// phantom records.
 func (w *wsWorker) tryAmple(f *wsFrame, crashes int) (bool, error) {
 	e := w.e
 	c := w.cfg
@@ -1083,51 +1082,13 @@ func (w *wsWorker) tryAmple(f *wsFrame, crashes int) (bool, error) {
 			return false, nil
 		}
 		in, err := e.s.InCS(c, amp)
-		if err != nil {
-			u.Revert()
-			return false, err
-		}
-		var key machine.StateKey
-		if !in {
-			nc := crashes
-			if el.Crash {
-				nc++
-			}
-			key, err = w.kr.key(c, nc, e.maxCrashes, 0) // POR runs carry no monitor
-			if err != nil {
-				u.Revert()
-				return false, err
-			}
-		}
 		u.Revert()
-		if in || w.closesCycle(key) {
-			return false, nil
+		if err != nil || in {
+			return false, err
 		}
 	}
 	f.elems = elems
 	return true, nil
-}
-
-// closesCycle is the ample set's cycle proviso (Holzmann–Peled). A fresh
-// one-worker run checks the successor against its own DFS stack. Workers
-// that share no stack, and resumed runs whose stack predates the resume,
-// check the visited set instead: in any cycle of the reduced graph the
-// node interned last probes after every other member was interned, sees a
-// visited successor, and expands fully. The visited check is strictly
-// more conservative (the stack is a subset of visited) and also makes
-// reduced counts at Workers>1 scheduling-dependent. DESIGN.md §5j argues
-// why a run may hand off from the stack check to the visited check at a
-// resume, but never the other way.
-func (w *wsWorker) closesCycle(key machine.StateKey) bool {
-	if !w.e.stackProviso {
-		return w.e.visited.Has(key)
-	}
-	for i := range w.frames {
-		if w.frames[i].key == key {
-			return true
-		}
-	}
-	return false
 }
 
 // explore runs the DFS loop over the worker's frame stack until it

@@ -19,17 +19,24 @@ import (
 // classical side conditions: the step must not move p into the critical
 // section (invisibility — checked concretely on the stepped configuration
 // rather than argued syntactically, so instrumented subjects with unusual
-// probe placement stay safe), and no ample successor may close a cycle
-// (the Holzmann–Peled proviso, on the DFS stack or the visited set — see
-// wsWorker.closesCycle; on a hit the node is fully expanded). Reads are
-// never ample: they observe shared memory.
+// probe placement stay safe), and no cycle of the reduced graph may
+// consist of reduced nodes only (the cycle proviso). The proviso is
+// static: a cycle of ample steps holds no crash (the crash count only
+// grows), no return (halting is final) and no write (buffers only grow
+// without commits), so it is fences, and every process in it goes round a
+// loop whose body has no top-level read, write, TAS or return. A fence in
+// a program with such a loop (lang.Program.FenceOnlyLoop) is never ample,
+// so no such cycle exists, and a node's ample set does not depend on the
+// visiting order.
+// Reads are never ample: they observe shared memory.
 //
 // The reduction composes with symmetry keying, adversarial crash budgets
 // and the reorder bound; the randomized fallback never runs reduced.
 
 // ampleCandidate returns the lowest process whose enabled transitions are
 // all process-local — empty write buffer and poised at a buffered write
-// (TSO/PSO), a fence, or a return — or -1 when no such process exists.
+// (TSO/PSO), a fence outside any program with a fence-only loop, or a
+// return — or -1 when no such process exists.
 func (s *Subject) ampleCandidate(c *machine.Config, model machine.Model) (int, error) {
 	for p := 0; p < c.N(); p++ {
 		if c.Halted(p) || c.BufferLen(p) != 0 {
@@ -47,7 +54,11 @@ func (s *Subject) ampleCandidate(c *machine.Config, model machine.Model) (int, e
 			if model != machine.SC {
 				return p, nil
 			}
-		case lang.OpFence, lang.OpReturn:
+		case lang.OpFence:
+			if !c.Proc(p).Program().FenceOnlyLoop() {
+				return p, nil
+			}
+		case lang.OpReturn:
 			return p, nil
 		}
 	}

@@ -18,9 +18,9 @@ import (
 // state budget trips at exactly MaxStates interned states at any worker
 // count — over-cap internings are rolled back — so the truncated rows
 // stay comparable). The work-stealing engine is measured at workers=1
-// (which is Exhaustive) and workers=NumCPU. The multi-worker POR rows use
-// the visited-set cycle proviso, so their state counts sit between the
-// one-worker POR count and the full graph (see ExhaustiveParallel's doc).
+// (which is Exhaustive) and workers=NumCPU. The POR rows visit the same
+// ~30k states at every worker count: the cycle proviso is static (see
+// ExhaustiveParallel's doc).
 //
 // bytes/state for BENCH_check.json is B/op divided by the reported
 // states/op metric; the peak visited-set size equals the state count

@@ -446,3 +446,38 @@ func TestLoopConditionReevaluatedAfterBody(t *testing.T) {
 		t.Fatalf("writes = %d, want 4", writes)
 	}
 }
+
+// TestFenceOnlyLoop classifies the loop shapes the model checker's static
+// cycle proviso depends on: a program is flagged when some fence's
+// innermost enclosing loop has no read, write, TAS or return at the top
+// level of its body, in Body or in Recovery.
+func TestFenceOnlyLoop(t *testing.T) {
+	c, r := L("c"), I(0)
+	for _, tc := range []struct {
+		name string
+		prog *Program
+		want bool
+	}{
+		{"while { fence }", NewProgram("p", While(c, Fence())), true},
+		{"while { if c { read } else { fence } }", NewProgram("p",
+			While(c, IfElse(c, []Stmt{Read("x", r)}, []Stmt{Fence()}))), true},
+		{"bare inner loop with a fence, outer loop reads", NewProgram("p",
+			While(c, Read("x", r), While(L("d"), Fence()))), true},
+		{"read only inside a nested loop", NewProgram("p",
+			While(c, While(L("d"), Read("x", r)), Fence())), true},
+		{"fence-only loop in Recovery alone", &Program{Name: "p",
+			Body:     []Stmt{Read("x", r), Fence(), Return(I(0))},
+			Recovery: []Stmt{While(c, Assign("c", I(0)), Fence())}}, true},
+		{"while { read; fence }", NewProgram("p", While(c, Read("x", r), Fence())), false},
+		{"while { fence; write }", NewProgram("p", While(c, Fence(), Write(r, I(1)))), false},
+		{"while { tas; fence }", NewProgram("p", While(c, Tas("x", r, I(1)), Fence())), false},
+		{"while { fence; return }", NewProgram("p", While(c, Fence(), Return(I(0)))), false},
+		{"fence in an inner loop that reads, bare outer loop", NewProgram("p",
+			While(c, While(L("d"), Read("x", r), Fence()))), false},
+		{"fence outside every loop", NewProgram("p", Fence(), While(c, Assign("c", I(0))), Return(I(0))), false},
+	} {
+		if got := tc.prog.FenceOnlyLoop(); got != tc.want {
+			t.Errorf("%s: FenceOnlyLoop() = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -42,6 +42,8 @@ type codeIndex struct {
 	locals map[string]uint64
 	// localNames lists the bindable locals in index order (sorted).
 	localNames []string
+	// fenceOnlyLoop: see Program.FenceOnlyLoop.
+	fenceOnlyLoop bool
 }
 
 // codeIndexes caches one index per Program. Programs are few and
@@ -111,12 +113,54 @@ func buildCodeIndex(p *Program) *codeIndex {
 	for i, n := range ci.localNames {
 		ci.locals[n] = uint64(i)
 	}
+	ci.fenceOnlyLoop = fenceOnlyLoop(p.Body, false) || fenceOnlyLoop(p.Recovery, false)
 	return ci
 }
 
 // LocalNames returns the local variables the program can bind, sorted.
 // The returned slice is shared; callers must not modify it.
 func (p *Program) LocalNames() []string { return p.index().localNames }
+
+// FenceOnlyLoop reports whether some fence's innermost enclosing while
+// loop has no read, write, TAS or return at the top level of its body.
+// Only such a fence can be reached again through fences and local
+// computation alone: the way back runs a full iteration of its innermost
+// loop, which executes every top-level statement of the body except the
+// one holding the fence. The model checker's partial-order reduction
+// never reduces at a fence of such a program — its static cycle proviso
+// (DESIGN.md §5j).
+func (p *Program) FenceOnlyLoop() bool { return p.index().fenceOnlyLoop }
+
+// fenceOnlyLoop reports whether block b holds a fence whose innermost
+// enclosing loop is fence-only; bare says whether b's own innermost
+// enclosing loop is (false outside every loop). Shared fragments are
+// walked once per occurrence, since each sits in its own loop.
+func fenceOnlyLoop(b []Stmt, bare bool) bool {
+	for _, st := range b {
+		switch st := st.(type) {
+		case *FenceStmt:
+			if bare {
+				return true
+			}
+		case *IfStmt:
+			if fenceOnlyLoop(st.Then, bare) || fenceOnlyLoop(st.Else, bare) {
+				return true
+			}
+		case *WhileStmt:
+			inner := true
+			for _, s := range st.Body {
+				switch s.(type) {
+				case *ReadStmt, *WriteStmt, *TasStmt, *ReturnStmt:
+					inner = false
+				}
+			}
+			if fenceOnlyLoop(st.Body, inner) {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // Proc-state encoding tags. A halted process encodes only its return
 // value (locals can no longer influence behaviour); a live process

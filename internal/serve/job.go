@@ -83,6 +83,10 @@ type Job struct {
 	// from its completed result.
 	DedupHits int
 	CacheHits int
+
+	// prior is the job as Submit found it when a submission re-runs a
+	// terminal job, kept until Commit or Unaccept; nil for a new key.
+	prior *Job
 }
 
 // terminal reports whether the job has finished (successfully or not).
@@ -311,6 +315,8 @@ func (s *Store) Submit(req Request, key, checkpointPath, client string, priority
 			if out, ok := s.admitLocked(client); !ok {
 				return nil, out
 			}
+			prior := *j
+			j.prior = &prior
 			j.Request = req
 			j.Status = StatusQueued
 			j.Client = client
@@ -346,6 +352,7 @@ func (s *Store) Submit(req Request, key, checkpointPath, client string, priority
 func (s *Store) Commit(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	j.prior = nil
 	if j.Status != StatusQueued || j.Aborting {
 		return
 	}
@@ -705,20 +712,24 @@ func (s *Store) Requeue(j *Job) bool {
 	return true
 }
 
-// Unaccept un-accepts a just-enqueued job (its submitted record could not
-// be journaled): pulled from the queue, marked failed. A no-op if a
-// worker already claimed it — the worker's own outcome then stands.
-func (s *Store) Unaccept(j *Job, msg string) {
+// Unaccept withdraws an admitted (SubmitNew) job whose submitted record
+// could not be journaled, in place of Commit. The store goes back to what
+// Submit found: a new key is forgotten, and a re-run job gets its previous
+// terminal state back, so the store holds nothing the journal cannot
+// replay. A no-op if an abort raced the window and already finished the
+// job.
+func (s *Store) Unaccept(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.Status != StatusQueued {
-		return
+	prior := j.prior
+	j.prior = nil
+	switch {
+	case j.Status != StatusQueued:
+	case prior == nil:
+		delete(s.byKey, j.Key)
+	default:
+		*j = *prior
 	}
-	s.dequeueLocked(j)
-	j.Status = StatusFailed
-	j.Error = msg
-	j.ErrKind = "error"
-	j.Finished = time.Now()
 }
 
 // Idle reports no running jobs (drain waits on this).

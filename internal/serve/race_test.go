@@ -172,3 +172,59 @@ func TestHammerSubmitAbortDrain(t *testing.T) {
 		}
 	}
 }
+
+// TestUnacceptRestoresSubmitState: a submission whose submitted record
+// cannot be journaled (the hammer's drain closes the outbox under it) is
+// withdrawn without a trace, so the store never holds a job the journal
+// cannot replay. A new key is forgotten; a re-run of a terminal job gets
+// the terminal state Submit found.
+func TestUnacceptRestoresSubmitState(t *testing.T) {
+	store := NewStore(Caps{})
+	req := normalized(t, Request{Op: OpCheck, Lock: "bakery", N: 3, Model: "pso"})
+	key := req.Key()
+
+	j, out := store.Submit(req, key, "", DefaultClient, PriorityNormal)
+	if out != SubmitNew {
+		t.Fatalf("submit outcome %v", out)
+	}
+	if dup, out := store.Submit(req, key, "", "bob", PriorityHigh); dup != j || out != SubmitDedup {
+		t.Fatalf("duplicate in the window: outcome %v", out)
+	}
+	store.Unaccept(j)
+	if got := store.Lookup(j.ID); got != nil {
+		t.Fatalf("un-journaled new key kept in the store as %s", got.Status)
+	}
+	if n := len(store.All()); n != 0 || store.QueueDepth() != 0 {
+		t.Fatalf("store holds %d jobs, %d queued after withdrawing its only one", n, store.QueueDepth())
+	}
+
+	// A journaled run that ends aborted, then a re-run whose record fails.
+	j, _ = store.Submit(req, key, "", DefaultClient, PriorityLow)
+	store.Commit(j)
+	if out := store.Abort(j); out != AbortQueued {
+		t.Fatalf("abort outcome %v", out)
+	}
+	before := store.Snapshot(j)
+	rerun, out := store.Submit(req, key, "", "bob", PriorityHigh)
+	if rerun != j || out != SubmitNew {
+		t.Fatalf("re-run of an aborted job: outcome %v", out)
+	}
+	store.Unaccept(rerun)
+	after := store.Snapshot(j)
+	if after.Status != StatusAborted || after.ErrKind != "aborted" || after.Client != DefaultClient ||
+		after.Priority != before.Priority || !after.Submitted.Equal(before.Submitted) ||
+		after.Finished == nil || !after.Finished.Equal(*before.Finished) {
+		t.Fatalf("re-run not rolled back: got %+v, want %+v", after, before)
+	}
+	if store.Lookup(j.ID) != j || store.QueueDepth() != 0 {
+		t.Fatal("rolled-back job missing or still queued")
+	}
+	// The withdrawn re-run left nothing behind: the next one commits cleanly.
+	if again, out := store.Submit(req, key, "", DefaultClient, PriorityNormal); again != j || out != SubmitNew {
+		t.Fatalf("resubmission after rollback: outcome %v", out)
+	}
+	store.Commit(j)
+	if store.QueueDepth() != 1 {
+		t.Fatalf("committed re-run not queued: depth %d", store.QueueDepth())
+	}
+}

@@ -584,13 +584,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 		// Journal before acknowledging: an accepted job must survive a
-		// crash. A journal failure un-accepts the job.
+		// crash. A journal failure withdraws the job (Store.Unaccept).
 		if err := s.outbox.Append(Record{
 			Event: EventSubmitted, Job: j.ID, Key: key,
 			Identity: req.identity(), Request: &req,
 			Client: client, Priority: PriorityName(priority),
 		}); err != nil {
-			s.store.Unaccept(j, err.Error())
+			s.store.Unaccept(j)
 			http.Error(w, "journal unavailable", http.StatusInternalServerError)
 			return
 		}
