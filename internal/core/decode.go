@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 
 	"tradingfences/internal/lang"
 	"tradingfences/internal/machine"
@@ -540,31 +540,36 @@ func (d *decoder) soloTerminates(p int) (bool, error) {
 
 // soloTerminates runs p alone on a clone of c, detecting divergence by
 // state-cycle detection: a solo execution is deterministic, so a repeated
-// (process state, buffer, commit count) triple proves it never halts.
+// (process state, buffer, commit count) triple proves it never halts. The
+// triple is keyed with the binary state codec — p's AppendStateKey, its
+// count-prefixed buffered writes, the commit count — and compared byte
+// for byte, so a cycle is never reported on a hash collision.
 func soloTerminates(c *machine.Config, p int, maxSteps int) (bool, error) {
 	clone := c.Clone()
 	seen := make(map[string]struct{}, 64)
 	commits := 0
-	var b strings.Builder
+	var key []byte
+	var regs []machine.Reg
 	for i := 0; i < maxSteps; i++ {
 		if clone.Halted(p) {
 			return true, nil
 		}
-		b.Reset()
-		if _, _, err := clone.NextOp(p); err != nil { // settle before fingerprinting
+		if _, _, err := clone.NextOp(p); err != nil { // settle before keying
 			return false, err
 		}
-		clone.Proc(p).AppendFingerprint(&b)
-		for _, r := range clone.BufferRegs(p) {
+		key = clone.Proc(p).AppendStateKey(key[:0], nil)
+		regs = clone.AppendBufferRegs(p, regs[:0])
+		key = binary.AppendUvarint(key, uint64(len(regs)))
+		for _, r := range regs {
 			v, _ := clone.BufferLookup(p, r)
-			fmt.Fprintf(&b, "w%d=%d,", r, v)
+			key = binary.AppendUvarint(key, uint64(r))
+			key = binary.AppendVarint(key, v)
 		}
-		fmt.Fprintf(&b, "c%d", commits)
-		fp := b.String()
-		if _, cyc := seen[fp]; cyc {
+		key = binary.AppendUvarint(key, uint64(commits))
+		if _, cyc := seen[string(key)]; cyc {
 			return false, nil
 		}
-		seen[fp] = struct{}{}
+		seen[string(key)] = struct{}{}
 		rec, took, err := clone.Step(machine.PBottom(p))
 		if err != nil {
 			return false, err

@@ -16,7 +16,11 @@
 // which only shared-memory steps are counted.
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Value is the domain of register and local-variable values. The paper uses
 // naturals with a distinguished initial value ⊥; we use int64 with 0 playing
@@ -29,19 +33,103 @@ type Expr interface {
 	String() string
 }
 
-// Env is the local evaluation environment of one process.
+// Env is the local evaluation environment of one process. Locals live in
+// slots: the program's code index numbers the locals the program can bind
+// in sorted-name order (Program.LocalNames), and the environment keeps
+// one value per slot plus a bound bitset as long as the program needs.
+// Reading an unbound local yields 0, matching the zero-value convention
+// for registers; the bitset is what tells it apart from one bound to 0.
 type Env struct {
 	// PID is the executing process's identifier in [0, N).
 	PID int
 	// N is the number of processes the program was instantiated for.
 	N int
-	// Locals maps variable names to values. Reading an unbound variable
-	// yields 0, matching the zero-value convention for registers.
-	Locals map[string]Value
+
+	ci *codeIndex
+	// mem holds the slot values (mem[:nslots], 0 when unbound) followed
+	// by the bound bitset's words, in one allocation so the rule-4 undo
+	// snapshot copies a single slice.
+	mem []Value
+}
+
+// newEnv returns an environment over ci's slots with every local unbound.
+func newEnv(ci *codeIndex, pid, n int) Env {
+	slots := len(ci.localNames)
+	return Env{PID: pid, N: n, ci: ci, mem: make([]Value, slots+(slots+63)/64)}
+}
+
+// clone returns an independent copy of the environment.
+func (e *Env) clone() Env {
+	c := *e
+	c.mem = append([]Value(nil), e.mem...)
+	return c
+}
+
+// split returns the slot values and the bound bitset's words.
+func (e *Env) split() (vals, bound []Value) {
+	n := len(e.ci.localNames)
+	return e.mem[:n], e.mem[n:]
+}
+
+// isBound reports whether slot i is bound.
+func (e *Env) isBound(i int) bool {
+	_, bound := e.split()
+	return uint64(bound[i/64])&(1<<(i%64)) != 0
+}
+
+// set binds slot i to v.
+func (e *Env) set(i int, v Value) {
+	vals, bound := e.split()
+	vals[i] = v
+	bound[i/64] |= Value(1) << (i % 64)
+}
+
+// local returns the value of the local with symbol sym (0 if unbound, or
+// if the program never binds it).
+func (e *Env) local(sym int32) Value {
+	if int(sym) < len(e.ci.symSlot) {
+		if i := e.ci.symSlot[sym]; i >= 0 {
+			return e.mem[i]
+		}
+	}
+	return 0
 }
 
 // Lookup returns the value bound to name, or 0 if unbound.
-func (e *Env) Lookup(name string) Value { return e.Locals[name] }
+func (e *Env) Lookup(name string) Value {
+	if i, ok := e.ci.slotOf(name); ok {
+		return e.mem[i]
+	}
+	return 0
+}
+
+// symbols interns local-variable names process-wide. Statement and
+// expression values are shared between programs (fence synthesis reuses
+// one lock's fragments in every placement), so a local reference cannot
+// carry a program's slot. It carries its name's symbol instead, fixed
+// when the expression is built, and each program's code index maps
+// symbols to slots. A symbol only ever indexes that map: it never reaches
+// a key or an output, so the order in which names are first interned is
+// invisible.
+var symbols struct {
+	sync.Mutex
+	ids map[string]int32
+}
+
+// intern returns name's symbol.
+func intern(name string) int32 {
+	symbols.Lock()
+	defer symbols.Unlock()
+	id, ok := symbols.ids[name]
+	if !ok {
+		if symbols.ids == nil {
+			symbols.ids = make(map[string]int32)
+		}
+		id = int32(len(symbols.ids))
+		symbols.ids[name] = id
+	}
+	return id
+}
 
 // constExpr is an integer literal.
 type constExpr struct{ v Value }
@@ -50,9 +138,12 @@ func (c constExpr) eval(*Env) (Value, error) { return c.v, nil }
 func (c constExpr) String() string           { return fmt.Sprint(c.v) }
 
 // localExpr reads a local variable.
-type localExpr struct{ name string }
+type localExpr struct {
+	name string
+	sym  int32
+}
 
-func (l localExpr) eval(env *Env) (Value, error) { return env.Lookup(l.name), nil }
+func (l localExpr) eval(env *Env) (Value, error) { return env.local(l.sym), nil }
 func (l localExpr) String() string               { return l.name }
 
 // pidExpr evaluates to the executing process's ID.
@@ -205,7 +296,7 @@ func (x condExpr) String() string { return fmt.Sprintf("(%s ? %s : %s)", x.c, x.
 func I(v Value) Expr { return constExpr{v} }
 
 // L returns a reference to local variable name.
-func L(name string) Expr { return localExpr{name} }
+func L(name string) Expr { return localExpr{name: name, sym: intern(name)} }
 
 // PID returns the expression evaluating to the executing process's ID.
 func PID() Expr { return pidExpr{} }
@@ -388,7 +479,11 @@ func For(v string, from, to Expr, body ...Stmt) []Stmt {
 
 // Program is a complete process program. The same Program value is shared,
 // immutably, by all processes executing it; per-process state lives in
-// ProcState.
+// ProcState. The first ProcState (or LocalNames/FenceOnlyLoop call) on a
+// program compiles it against a code index, once: every local the program
+// can bind gets a dense slot in sorted-name order, and every statement
+// block and while loop a build-stable ID (statekey.go). A program must
+// not be modified after that.
 type Program struct {
 	// Name identifies the program in traces and error messages.
 	Name string
@@ -404,6 +499,8 @@ type Program struct {
 	Recovery []Stmt
 	ResumeAt int
 	Durable  []string
+
+	ci atomic.Pointer[codeIndex]
 }
 
 // NewProgram returns a program with the given name and body.

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -62,13 +63,14 @@ func TestQuickEvalDeterministic(t *testing.T) {
 	f := func(seed int64, a, b int8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := randExpr(rng, 4)
-		env := &Env{PID: 3, N: 8, Locals: map[string]Value{"a": Value(a), "b": Value(b)}}
+		env := envOf(3, 8, map[string]Value{"a": Value(a), "b": Value(b)})
+		before := env.clone()
 		v1, err1 := e.eval(env)
 		v2, err2 := e.eval(env)
 		if (err1 == nil) != (err2 == nil) || v1 != v2 {
 			return false
 		}
-		return env.Locals["a"] == Value(a) && env.Locals["b"] == Value(b) && len(env.Locals) == 2
+		return slices.Equal(env.mem, before.mem)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -81,7 +83,7 @@ func TestQuickBooleanResultsAre01(t *testing.T) {
 	f := func(seed int64, a, b int16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x, y := randExpr(rng, 2), randExpr(rng, 2)
-		env := &Env{PID: 1, N: 4, Locals: map[string]Value{"a": Value(a), "b": Value(b)}}
+		env := envOf(1, 4, map[string]Value{"a": Value(a), "b": Value(b)})
 		for _, e := range []Expr{Eq(x, y), Ne(x, y), Lt(x, y), Le(x, y), Gt(x, y), Ge(x, y), And(x, y), Or(x, y), Not(x)} {
 			v, err := e.eval(env)
 			if err != nil {
@@ -102,7 +104,7 @@ func TestQuickBooleanResultsAre01(t *testing.T) {
 // subexpressions.
 func TestDeMorgan(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	env := &Env{PID: 2, N: 4, Locals: map[string]Value{"a": 5, "b": -3}}
+	env := envOf(2, 4, map[string]Value{"a": 5, "b": -3})
 	for trial := 0; trial < 200; trial++ {
 		x, y := randExpr(rng, 3), randExpr(rng, 3)
 		l1 := evalOK(t, Not(And(x, y)), env)
@@ -121,7 +123,7 @@ func TestDeMorgan(t *testing.T) {
 // TestComparisonTrichotomy: exactly one of <, ==, > holds.
 func TestComparisonTrichotomy(t *testing.T) {
 	f := func(a, b int64) bool {
-		env := &Env{Locals: map[string]Value{"a": a, "b": b}}
+		env := envOf(0, 0, map[string]Value{"a": a, "b": b})
 		lt, _ := Lt(L("a"), L("b")).eval(env)
 		eq, _ := Eq(L("a"), L("b")).eval(env)
 		gt, _ := Gt(L("a"), L("b")).eval(env)
@@ -135,7 +137,7 @@ func TestComparisonTrichotomy(t *testing.T) {
 // TestCondEquivalence: Cond(c, a, b) matches the if/else semantics, and
 // short-circuits the untaken branch (errors in it are not raised).
 func TestCondEquivalence(t *testing.T) {
-	env := &Env{Locals: map[string]Value{}}
+	env := envOf(0, 0, nil)
 	if v := evalOK(t, Cond(I(1), I(7), Div(I(1), I(0))), env); v != 7 {
 		t.Fatalf("taken-then: %d", v)
 	}
@@ -150,7 +152,7 @@ func TestCondEquivalence(t *testing.T) {
 // TestNegativeValuesFlowThrough: the machine word is a signed int64;
 // arithmetic must not clamp or wrap surprisingly within range.
 func TestNegativeValuesFlowThrough(t *testing.T) {
-	env := &Env{Locals: map[string]Value{"a": -40}}
+	env := envOf(0, 0, map[string]Value{"a": -40})
 	cases := []struct {
 		e    Expr
 		want Value

@@ -2,17 +2,20 @@ package lang
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
 // AppendFingerprint writes a canonical encoding of the process's control
 // state — program position, loop nesting, locals, and final value — into b.
 // Two states with equal fingerprints behave identically under identical
-// future schedules, which is what the model checker's visited-state pruning
-// relies on. Callers must settle the state first (call NextOp) so that
-// pending local computation does not make semantically equal states look
-// different.
+// future schedules. Callers must settle the state first (call NextOp) so
+// that pending local computation does not make semantically equal states
+// look different.
+//
+// No production code keys on it: AppendStateKey is the one keying. It is
+// the tests' reference keying — an independent encoding, by name and by
+// address, that the binary key's state partition is checked against
+// (machine.Config.Fingerprint).
 func (s *ProcState) AppendFingerprint(b *strings.Builder) {
 	if s.halted {
 		fmt.Fprintf(b, "H%d", s.retValue)
@@ -22,22 +25,19 @@ func (s *ProcState) AppendFingerprint(b *strings.Builder) {
 		// The statement slice's identity (its backing array) uniquely
 		// identifies the program point, since ASTs are immutable and
 		// shared.
-		if len(f.stmts) > 0 {
-			fmt.Fprintf(b, "|%p:%d", &f.stmts[0], f.idx)
+		if len(f.blk.stmts) > 0 {
+			fmt.Fprintf(b, "|%p:%d", &f.blk.stmts[0], f.idx)
 		} else {
 			fmt.Fprintf(b, "|e:%d", f.idx)
 		}
 		if f.loop != nil {
-			fmt.Fprintf(b, "L%p", f.loop)
+			fmt.Fprintf(b, "L%p", f.loop.loop)
 		}
 	}
 	b.WriteByte(';')
-	names := make([]string, 0, len(s.env.Locals))
-	for k := range s.env.Locals {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(b, "%s=%d,", k, s.env.Locals[k])
+	for i, name := range s.env.ci.localNames {
+		if s.env.isBound(i) {
+			fmt.Fprintf(b, "%s=%d,", name, s.env.mem[i])
+		}
 	}
 }

@@ -67,14 +67,16 @@ func (o Op) String() string {
 // state.
 var ErrHalted = errors.New("lang: process is in a final state")
 
-// frame is one entry of the interpreter's control stack: a statement block
-// plus a cursor. A frame with loop != nil is a loop body; when the cursor
-// passes the end, the loop condition is re-evaluated instead of popping
-// unconditionally.
+// frame is one entry of the interpreter's control stack: a compiled
+// statement block plus a cursor. A frame whose loop is non-nil is that
+// while statement's body; when the cursor passes the end, the loop
+// condition is re-evaluated instead of popping unconditionally. The
+// frame carries its block and loop IDs from the push (blk.id,
+// loop.loopID), so keying a state looks nothing up.
 type frame struct {
-	stmts []Stmt
-	idx   int
-	loop  *WhileStmt
+	blk  *block
+	idx  int
+	loop *instr
 }
 
 // ProcState is the complete local state of one process executing a Program:
@@ -83,7 +85,8 @@ type frame struct {
 // encoder and the model checker rely on this.
 type ProcState struct {
 	prog *Program
-	env  Env
+	// env holds the locals and the program's code index (env.ci).
+	env Env
 
 	frames []frame
 
@@ -101,30 +104,24 @@ type ProcState struct {
 // NewProcState returns the initial state of process pid (of n) executing
 // prog.
 func NewProcState(prog *Program, pid, n int) *ProcState {
+	return newProcState(prog, prog.index(), pid, n)
+}
+
+func newProcState(prog *Program, ci *codeIndex, pid, n int) *ProcState {
 	return &ProcState{
 		prog:   prog,
-		env:    Env{PID: pid, N: n, Locals: make(map[string]Value)},
-		frames: []frame{{stmts: prog.Body}},
+		env:    newEnv(ci, pid, n),
+		frames: []frame{{blk: ci.body}},
 	}
 }
 
-// Clone returns an independent deep copy of the state.
+// Clone returns an independent deep copy of the state: two slice copies
+// (locals and control stack), no per-variable work.
 func (s *ProcState) Clone() *ProcState {
-	c := &ProcState{
-		prog:     s.prog,
-		env:      Env{PID: s.env.PID, N: s.env.N, Locals: make(map[string]Value, len(s.env.Locals))},
-		frames:   make([]frame, len(s.frames)),
-		pending:  s.pending,
-		settled:  s.settled,
-		halted:   s.halted,
-		retValue: s.retValue,
-		err:      s.err,
-	}
-	for k, v := range s.env.Locals {
-		c.env.Locals[k] = v
-	}
-	copy(c.frames, s.frames)
-	return c
+	c := *s
+	c.env = s.env.clone()
+	c.frames = append([]frame(nil), s.frames...)
+	return &c
 }
 
 // PID returns the process identifier this state was instantiated with.
@@ -134,7 +131,7 @@ func (s *ProcState) PID() int { return s.env.PID }
 // identity: the volatile-state loss of a crash fault. Locals, control
 // stack, pending operation and any recorded error are discarded.
 func (s *ProcState) Restart() *ProcState {
-	return NewProcState(s.prog, s.env.PID, s.env.N)
+	return newProcState(s.prog, s.env.ci, s.env.PID, s.env.N)
 }
 
 // CrashRestart returns the post-crash state under the recoverable
@@ -150,17 +147,18 @@ func (s *ProcState) CrashRestart() *ProcState {
 	if len(p.Recovery) == 0 {
 		return s.Restart()
 	}
-	ns := NewProcState(p, s.env.PID, s.env.N)
-	for _, name := range p.Durable {
-		if v, ok := s.env.Locals[name]; ok {
-			ns.env.Locals[name] = v
+	ci := s.env.ci
+	ns := newProcState(p, ci, s.env.PID, s.env.N)
+	for _, i := range ci.durable {
+		if s.env.isBound(i) {
+			ns.env.set(i, s.env.mem[i])
 		}
 	}
 	// Bottom frame resumes the main body at ResumeAt once the recovery
 	// frame on top of it is exhausted.
 	ns.frames = []frame{
-		{stmts: p.Body, idx: p.ResumeAt},
-		{stmts: p.Recovery},
+		{blk: ci.body, idx: p.ResumeAt},
+		{blk: ci.recovery},
 	}
 	return ns
 }
@@ -219,9 +217,9 @@ func (s *ProcState) settle() error {
 			return nil
 		}
 		f := &s.frames[len(s.frames)-1]
-		if f.idx >= len(f.stmts) {
+		if f.idx >= len(f.blk.stmts) {
 			if f.loop != nil {
-				c, err := f.loop.Cond.eval(&s.env)
+				c, err := f.loop.loop.Cond.eval(&s.env)
 				if err != nil {
 					return s.fail(err)
 				}
@@ -233,14 +231,14 @@ func (s *ProcState) settle() error {
 			s.frames = s.frames[:len(s.frames)-1]
 			continue
 		}
-		st := f.stmts[f.idx]
-		switch st := st.(type) {
+		in := &f.blk.code[f.idx]
+		switch st := f.blk.stmts[f.idx].(type) {
 		case *AssignStmt:
 			v, err := st.E.eval(&s.env)
 			if err != nil {
 				return s.fail(err)
 			}
-			s.env.Locals[st.Dst] = v
+			s.env.set(in.dst, v)
 			f.idx++
 		case *IfStmt:
 			c, err := st.Cond.eval(&s.env)
@@ -250,10 +248,10 @@ func (s *ProcState) settle() error {
 			f.idx++
 			if c != 0 {
 				if len(st.Then) > 0 {
-					s.frames = append(s.frames, frame{stmts: st.Then})
+					s.frames = append(s.frames, frame{blk: in.body})
 				}
 			} else if len(st.Else) > 0 {
-				s.frames = append(s.frames, frame{stmts: st.Else})
+				s.frames = append(s.frames, frame{blk: in.els})
 			}
 		case *WhileStmt:
 			c, err := st.Cond.eval(&s.env)
@@ -261,7 +259,7 @@ func (s *ProcState) settle() error {
 				return s.fail(err)
 			}
 			if c != 0 {
-				s.frames = append(s.frames, frame{stmts: st.Body, loop: st})
+				s.frames = append(s.frames, frame{blk: in.body, loop: in})
 			} else {
 				f.idx++
 			}
@@ -328,6 +326,13 @@ func (s *ProcState) NextOp() (op Op, ok bool, err error) {
 	return s.pending, true, nil
 }
 
+// poisedAt returns the resolution of the statement that produced the
+// pending op.
+func (s *ProcState) poisedAt() *instr {
+	f := &s.frames[len(s.frames)-1]
+	return &f.blk.code[f.idx]
+}
+
 // advance moves the cursor past the statement that produced the pending op.
 // When the pending op came from the implicit end-of-program return there is
 // no frame to advance.
@@ -353,8 +358,7 @@ func (s *ProcState) CompleteRead(v Value) error {
 	if op.Kind != OpRead {
 		return s.fail(fmt.Errorf("CompleteRead while poised at %s", op))
 	}
-	st := s.frames[len(s.frames)-1].stmts[s.frames[len(s.frames)-1].idx].(*ReadStmt)
-	s.env.Locals[st.Dst] = v
+	s.env.set(s.poisedAt().dst, v)
 	s.advance()
 	return nil
 }
@@ -373,8 +377,7 @@ func (s *ProcState) CompleteTas(old Value) error {
 	if op.Kind != OpTAS {
 		return s.fail(fmt.Errorf("CompleteTas while poised at %s", op))
 	}
-	st := s.frames[len(s.frames)-1].stmts[s.frames[len(s.frames)-1].idx].(*TasStmt)
-	s.env.Locals[st.Dst] = old
+	s.env.set(s.poisedAt().dst, old)
 	s.advance()
 	return nil
 }

@@ -44,8 +44,25 @@ func run(t *testing.T, prog *Program, pid, n int, mem map[Value]Value) (Value, *
 	return 0, nil
 }
 
+// envOf returns an evaluation environment for process pid of n with the
+// given locals bound: the environment of a program that binds exactly
+// those names.
+func envOf(pid, n int, locals map[string]Value) *Env {
+	body := make([]Stmt, 0, len(locals))
+	for name := range locals {
+		body = append(body, Assign(name, I(0)))
+	}
+	ci := NewProgram("env", body...).index()
+	env := newEnv(ci, pid, n)
+	for name, v := range locals {
+		i, _ := ci.slotOf(name)
+		env.set(i, v)
+	}
+	return &env
+}
+
 func TestExprArithmetic(t *testing.T) {
-	env := &Env{PID: 3, N: 8, Locals: map[string]Value{"x": 10, "y": 4}}
+	env := envOf(3, 8, map[string]Value{"x": 10, "y": 4})
 	cases := []struct {
 		e    Expr
 		want Value
@@ -89,7 +106,7 @@ func TestExprArithmetic(t *testing.T) {
 }
 
 func TestExprShortCircuit(t *testing.T) {
-	env := &Env{Locals: map[string]Value{}}
+	env := envOf(0, 0, nil)
 	// Division by zero on the right must not be evaluated when the left
 	// side short-circuits.
 	if v, err := And(I(0), Div(I(1), I(0))).eval(env); err != nil || v != 0 {
@@ -101,7 +118,7 @@ func TestExprShortCircuit(t *testing.T) {
 }
 
 func TestExprErrors(t *testing.T) {
-	env := &Env{Locals: map[string]Value{}}
+	env := envOf(0, 0, nil)
 	if _, err := Div(I(1), I(0)).eval(env); err == nil {
 		t.Error("division by zero should error")
 	}

@@ -14,8 +14,11 @@ import (
 // every write buffer (in semantic order). Cost-accounting state (knowledge
 // caches, last-committer table, statistics) is deliberately excluded — it
 // never influences control flow, so two configurations with equal
-// fingerprints generate identical execution trees. The model checker uses
-// fingerprints for visited-state pruning.
+// fingerprints generate identical execution trees.
+//
+// No production code keys on it: the binary StateKey (KeyEncoder) is the
+// one keying. Fingerprint is the tests' reference keying, an independent
+// string encoding whose state partition the binary codec must reproduce.
 //
 // All processes are settled (pending local computation executed) first, so
 // that fingerprints are insensitive to the interpreter's lazy evaluation.
@@ -49,8 +52,8 @@ func (c *Config) Fingerprint() (string, error) {
 
 // IdentityFingerprint returns a stable hash of the configuration's static
 // definition: memory model, process count, layout size and every process's
-// program listing. Unlike Fingerprint — which keys dynamic state for
-// visited-set pruning and is canonical only within one OS process — the
+// program listing. Unlike Fingerprint — the tests' reference keying of
+// dynamic state, canonical only within one OS process — the
 // identity fingerprint is reproducible across runs and builds, so witness
 // artifacts use it to detect subject drift before replaying a schedule.
 func (c *Config) IdentityFingerprint() string {

@@ -134,10 +134,10 @@ func (e *KeyEncoder) append(c *Config, buf []byte, ren *renamer) ([]byte, error)
 	// carries process π⁻¹(j)'s state with PID-typed data renamed.
 	for j := 0; j < c.n; j++ {
 		p := j
-		var localFn func(string, Value) Value
+		var localFn func(int, Value) Value
 		if ren != nil {
 			p = ren.inv[j]
-			localFn = ren.localFn
+			localFn = ren.localFn(c.procs[p].Program())
 		}
 		buf = c.procs[p].AppendStateKey(buf, localFn)
 

@@ -1,6 +1,10 @@
 package machine
 
-import "bytes"
+import (
+	"bytes"
+
+	"tradingfences/internal/lang"
+)
 
 // Process-symmetry canonicalization. The paper's lower bound (Section 4)
 // is built on permutations π of interchangeable processes, and the locks
@@ -44,10 +48,20 @@ type renamer struct {
 	perm []int // π: old pid → new pid
 	inv  []int // π⁻¹
 	// regMap[r] is the renamed register, dense over the layout.
-	regMap  []Reg
-	spec    *SymmetrySpec
-	n       int
-	localFn func(name string, v Value) Value
+	regMap []Reg
+	spec   *SymmetrySpec
+	n      int
+	// locals holds the local renaming resolved for each program seen so
+	// far (a subject runs one program on every process, so one entry).
+	locals []progLocals
+}
+
+// progLocals is the spec's PIDLocals resolved to one program's local
+// slots: fn renames the value of the local in a given slot, and is nil
+// when the program has no PID-typed local.
+type progLocals struct {
+	prog *lang.Program
+	fn   func(slot int, v Value) Value
 }
 
 func newRenamer(lay *Layout, n int, spec *SymmetrySpec, perm []int) *renamer {
@@ -64,17 +78,41 @@ func newRenamer(lay *Layout, n int, spec *SymmetrySpec, perm []int) *renamer {
 			rn.regMap[a.Base+Reg(i)] = a.Base + Reg(perm[i])
 		}
 	}
-	rn.localFn = func(name string, v Value) Value {
-		d, ok := spec.PIDLocals[name]
-		if !ok {
+	return rn
+}
+
+// localFn returns the PID-typed local renaming for prog's slots,
+// resolving spec.PIDLocals by name once per program.
+func (rn *renamer) localFn(prog *lang.Program) func(slot int, v Value) Value {
+	for _, l := range rn.locals {
+		if l.prog == prog {
+			return l.fn
+		}
+	}
+	names := prog.LocalNames()
+	pid := make([]bool, len(names))
+	off := make([]Value, len(names))
+	typed := false
+	for i, name := range names {
+		if d, ok := rn.spec.PIDLocals[name]; ok {
+			pid[i], off[i], typed = true, d, true
+		}
+	}
+	var fn func(int, Value) Value
+	if typed {
+		fn = func(slot int, v Value) Value {
+			if !pid[slot] {
+				return v
+			}
+			d := off[slot]
+			if x := v - d; x >= 0 && x < Value(rn.n) {
+				return d + Value(rn.perm[x])
+			}
 			return v
 		}
-		if x := v - d; x >= 0 && x < Value(n) {
-			return d + Value(perm[x])
-		}
-		return v
 	}
-	return rn
+	rn.locals = append(rn.locals, progLocals{prog: prog, fn: fn})
+	return fn
 }
 
 func (rn *renamer) reg(r Reg) Reg {

@@ -87,6 +87,9 @@ type Job struct {
 	// prior is the job as Submit found it when a submission re-runs a
 	// terminal job, kept until Commit or Unaccept; nil for a new key.
 	prior *Job
+	// uncommitted marks an admitted (SubmitNew) job between Submit and
+	// Commit or Unaccept: its submitted record is not journaled yet.
+	uncommitted bool
 }
 
 // terminal reports whether the job has finished (successfully or not).
@@ -326,6 +329,7 @@ func (s *Store) Submit(req Request, key, checkpointPath, client string, priority
 			j.Submitted = time.Now()
 			j.Started, j.Finished = time.Time{}, time.Time{}
 			j.Attempts, j.Result, j.Error, j.ErrKind = nil, nil, "", ""
+			j.uncommitted = true
 			return j, SubmitNew
 		}
 	}
@@ -341,21 +345,20 @@ func (s *Store) Submit(req Request, key, checkpointPath, client string, priority
 		Priority:       priority,
 		CheckpointPath: checkpointPath,
 		Submitted:      time.Now(),
+		uncommitted:    true,
 	}
 	s.byKey[key] = j
 	return j, SubmitNew
 }
 
 // Commit makes an admitted (SubmitNew) job runnable, once its submitted
-// record is durably journaled. An abort that raced the window leaves the
-// job terminal; committing it then is a no-op.
+// record is durably journaled. Until then Abort waits on the job, so it
+// is still queued; enqueueing wakes the waiter.
 func (s *Store) Commit(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.prior = nil
-	if j.Status != StatusQueued || j.Aborting {
-		return
-	}
+	j.uncommitted = false
 	s.enqueueLocked(j)
 }
 
@@ -573,14 +576,28 @@ const (
 	AbortRepeat
 	// AbortConflict: the job already reached a different terminal state.
 	AbortConflict
+	// AbortWithdrawn: the job's submitted record could not be journaled
+	// and Unaccept withdrew it; there is no job to abort.
+	AbortWithdrawn
 )
 
 // Abort requests cancellation of a job. The caller journals the terminal
 // aborted record before acknowledging for the AbortQueued, AbortRunning
 // and AbortParked outcomes; this method only mutates scheduler state.
+//
+// A client can learn a new job's ID from a duplicate's response before
+// the job's submitted record is journaled. Abort on such a job waits for
+// Commit or Unaccept: an aborted record journaled ahead of the submitted
+// one would let replay re-queue a job whose abort was acknowledged.
 func (s *Store) Abort(j *Job) AbortOutcome {
 	s.mu.Lock()
+	for j.uncommitted {
+		s.cond.Wait()
+	}
 	switch {
+	case s.byKey[j.Key] != j:
+		s.mu.Unlock()
+		return AbortWithdrawn
 	case j.Status == StatusAborted || j.Aborting:
 		s.mu.Unlock()
 		return AbortRepeat
@@ -716,20 +733,19 @@ func (s *Store) Requeue(j *Job) bool {
 // could not be journaled, in place of Commit. The store goes back to what
 // Submit found: a new key is forgotten, and a re-run job gets its previous
 // terminal state back, so the store holds nothing the journal cannot
-// replay. A no-op if an abort raced the window and already finished the
-// job.
+// replay. An Abort waiting on the job then finds it withdrawn or back in
+// its terminal state.
 func (s *Store) Unaccept(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prior := j.prior
-	j.prior = nil
-	switch {
-	case j.Status != StatusQueued:
-	case prior == nil:
+	if prior := j.prior; prior == nil {
 		delete(s.byKey, j.Key)
-	default:
+	} else {
 		*j = *prior
 	}
+	j.prior = nil
+	j.uncommitted = false
+	s.cond.Broadcast()
 }
 
 // Idle reports no running jobs (drain waits on this).

@@ -228,3 +228,57 @@ func TestUnacceptRestoresSubmitState(t *testing.T) {
 		t.Fatalf("committed re-run not queued: depth %d", store.QueueDepth())
 	}
 }
+
+// TestAbortWaitsForCommit: a client can learn a new job's ID from a
+// duplicate's response and abort the job before its submitted record is
+// journaled. Abort must not decide before Commit or Unaccept: an aborted
+// record journaled ahead of the submitted one would replay as a queued
+// job whose abort the daemon already acknowledged.
+func TestAbortWaitsForCommit(t *testing.T) {
+	store := NewStore(Caps{})
+	req := normalized(t, Request{Op: OpCheck, Lock: "bakery", N: 3, Model: "pso"})
+	key := req.Key()
+	j, out := store.Submit(req, key, "", DefaultClient, PriorityNormal)
+	if out != SubmitNew {
+		t.Fatalf("submit outcome %v", out)
+	}
+	dup, out := store.Submit(req, key, "", "bob", PriorityNormal)
+	if dup != j || out != SubmitDedup {
+		t.Fatalf("duplicate in the window: outcome %v", out)
+	}
+	done := make(chan AbortOutcome, 1)
+	go func() { done <- store.Abort(dup) }()
+	select {
+	case out := <-done:
+		t.Fatalf("Abort returned %v before the submission was committed", out)
+	case <-time.After(100 * time.Millisecond):
+	}
+	store.Commit(j)
+	if out := <-done; out != AbortQueued {
+		t.Fatalf("abort after commit: outcome %v, want AbortQueued", out)
+	}
+	if v := store.Snapshot(j); v.Status != StatusAborted || store.QueueDepth() != 0 {
+		t.Fatalf("aborted job is %s with %d queued", v.Status, store.QueueDepth())
+	}
+
+	// A submission whose record cannot be journaled is withdrawn, and the
+	// waiting abort finds nothing to abort.
+	req4 := normalized(t, Request{Op: OpCheck, Lock: "bakery", N: 4, Model: "pso"})
+	j4, out := store.Submit(req4, req4.Key(), "", DefaultClient, PriorityNormal)
+	if out != SubmitNew {
+		t.Fatalf("submit outcome %v", out)
+	}
+	go func() { done <- store.Abort(j4) }()
+	select {
+	case out := <-done:
+		t.Fatalf("Abort returned %v before the submission was withdrawn", out)
+	case <-time.After(100 * time.Millisecond):
+	}
+	store.Unaccept(j4)
+	if out := <-done; out != AbortWithdrawn {
+		t.Fatalf("abort after withdrawal: outcome %v, want AbortWithdrawn", out)
+	}
+	if store.Lookup(j4.ID) != nil {
+		t.Fatal("withdrawn job still in the store")
+	}
+}

@@ -630,6 +630,9 @@ func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request, j *Job) {
 	client := ClientID(r)
 	outcome := s.store.Abort(j)
 	switch outcome {
+	case AbortWithdrawn:
+		http.Error(w, "no such job", http.StatusNotFound)
+		return
 	case AbortConflict:
 		writeJSON(w, http.StatusConflict, s.store.Snapshot(j))
 		return
