@@ -32,8 +32,11 @@ import (
 // cover the reduced graph only, and a bounded run's keys carry reorder
 // ages, so resuming under different reduction modes would either skip
 // reachable states or prune on keys from a different encoding — both flips
-// fail closed with ErrCheckpointDrift.
-const CheckpointVersion = 5
+// fail closed with ErrCheckpointDrift. Version 6 adds no field: the
+// StateKey hash changed from byte-wise FNV-1a to MurmurHash3 x64_128
+// while the key bytes (codec 1) stayed the same, so a v5 snapshot's
+// visited shards and root key hold values no current run mints.
+const CheckpointVersion = 6
 
 // EngineWSDFS names the work-stealing undo-log DFS engine inside
 // checkpoint snapshots. It is the only engine the current decoder
@@ -164,8 +167,7 @@ type Checkpoint struct {
 	// successors, and an unreduced resume of it would not either, so
 	// resume requires the same mode and rejects a mismatch with
 	// ErrCheckpointDrift. The cycle proviso is static, so it needs no
-	// field: a POR snapshot written under the older run-time provisos
-	// resumes soundly under the static one (DESIGN.md §5j).
+	// field (DESIGN.md §5j).
 	POR bool `json:"por,omitempty"`
 	// RootFP is the hex StateKey of the fresh initial configuration.
 	// Binary keys are build-stable, so any process that rebuilds the same

@@ -33,7 +33,7 @@ func sampleCheckpoint() *Checkpoint {
 		ReorderBound: 2,
 		POR:          true,
 		Level:        4,
-		Frontier:   []CheckpointNode{{Schedule: "p0 p1 p0:R3"}, {Schedule: "p1 p0!", Crashes: 1}},
+		Frontier:     []CheckpointNode{{Schedule: "p0 p1 p0:R3"}, {Schedule: "p1 p0!", Crashes: 1}},
 		Stacks: []CheckpointStack{{
 			Schedule: "p0 p1",
 			Frames: []CheckpointFrame{
@@ -100,6 +100,27 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckpointV5FailsClosed: a well-formed v5 snapshot — canonical
+// bytes, valid CRC — holds keys hashed with FNV-1a, which no current run
+// mints, so decoding it must fail closed as drift, not resume.
+func TestCheckpointV5FailsClosed(t *testing.T) {
+	ck := sampleCheckpoint()
+	ck.Version = 5
+	sum, err := ck.checksum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Checksum = sum
+	data, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DecodeCheckpoint(append(data, '\n'))
+	if !errors.Is(err, ErrCheckpointDrift) || !strings.Contains(err.Error(), "version 5") {
+		t.Fatalf("v5 snapshot: got %v, want ErrCheckpointDrift on its version", err)
+	}
+}
+
 func TestCheckpointValidation(t *testing.T) {
 	mut := func(f func(*Checkpoint)) *Checkpoint {
 		ck := sampleCheckpoint()
@@ -110,11 +131,11 @@ func TestCheckpointValidation(t *testing.T) {
 		"no pending work": mut(func(c *Checkpoint) { c.Frontier, c.Stacks = nil, nil }),
 		"wrong engine":    mut(func(c *Checkpoint) { c.Engine = "bfs-level-sync" }),
 		"bad model":       mut(func(c *Checkpoint) { c.Model = "RMO" }),
-		"bad schedule":  mut(func(c *Checkpoint) { c.Frontier[0].Schedule = "q9" }),
-		"no identity":   mut(func(c *Checkpoint) { c.Identity = "" }),
-		"bad codec":     mut(func(c *Checkpoint) { c.Codec = machine.StateKeyCodecVersion + 1 }),
-		"bad root key":  mut(func(c *Checkpoint) { c.RootFP = "root-token" }),
-		"bad shard key": mut(func(c *Checkpoint) { c.Shards[1][0] = "not-hex" }),
+		"bad schedule":    mut(func(c *Checkpoint) { c.Frontier[0].Schedule = "q9" }),
+		"no identity":     mut(func(c *Checkpoint) { c.Identity = "" }),
+		"bad codec":       mut(func(c *Checkpoint) { c.Codec = machine.StateKeyCodecVersion + 1 }),
+		"bad root key":    mut(func(c *Checkpoint) { c.RootFP = "root-token" }),
+		"bad shard key":   mut(func(c *Checkpoint) { c.Shards[1][0] = "not-hex" }),
 		"short shard key": mut(func(c *Checkpoint) {
 			c.Shards[0][0] = c.Shards[0][0][:30]
 		}),

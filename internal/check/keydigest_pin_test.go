@@ -11,9 +11,9 @@ import (
 // TestStateKeyDigestPinned pins the visited-set key bytes themselves, not
 // just the state counts they induce: a SHA-256 digest over the sorted key
 // bytes of every reachable configuration (check.KeyBytesDigest). The
-// StateKey codec version, checkpoint schema v5 and serve identity v4 all
-// assume those bytes never drift, and a change to the encoding that keeps
-// the partition would pass every count-based test. The subjects cover the
+// StateKey codec version 1, checkpoint schema v6 and serve identity v4
+// all assume those bytes never drift, and a change to the encoding that
+// keeps the partition would pass every count-based test. The subjects cover the
 // three memory models, an orbit-canonical (symmetry-reduced) encoding,
 // recoverable locks under a crash budget (recovery frames, durable locals
 // and the folded crash count) and a reorder-bounded run (buffer ages).
@@ -71,6 +71,37 @@ func TestStateKeyDigestPinned(t *testing.T) {
 		}
 		if states != tc.states || digest != tc.digest {
 			t.Errorf("%s: %d states, digest %s; want %d states, digest %s", tc.name, states, digest, tc.states, tc.digest)
+		}
+	}
+}
+
+// TestStateKeyHashPinned pins HashStateKey itself, beside the checkpoint
+// schema version whose snapshots store its outputs: a changed hash mints
+// different StateKeys from the same key bytes, so it must come with a
+// CheckpointVersion bump (and new pins here) or old snapshots would resume
+// against keys no run produces. The inputs cover the empty encoding, a
+// tail-only one (15 bytes), the published MurmurHash3 x64_128 reference
+// vector (43 bytes) and five full blocks plus a tail (94 bytes, about one
+// bakery n=3 state).
+func TestStateKeyHashPinned(t *testing.T) {
+	if check.CheckpointVersion != 6 {
+		t.Fatalf("CheckpointVersion = %d: re-pin these outputs with the version that certifies them", check.CheckpointVersion)
+	}
+	b94 := make([]byte, 94)
+	for i := range b94 {
+		b94[i] = byte(i)
+	}
+	for _, tc := range []struct {
+		in   []byte
+		want string
+	}{
+		{nil, "00000000000000000000000000000000"},
+		{[]byte("The quick brown"), "1692e364b87c13484bd67a3964af7bfd"},
+		{[]byte("The quick brown fox jumps over the lazy dog"), "6c1b07bc7bbc4be347939ac4a93c437a"},
+		{b94, "2579ecc5d482c85bb143054e69650be3"},
+	} {
+		if got := machine.HashStateKey(tc.in).String(); got != tc.want {
+			t.Errorf("HashStateKey(%d bytes) = %s, want %s", len(tc.in), got, tc.want)
 		}
 	}
 }

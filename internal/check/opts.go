@@ -78,7 +78,7 @@ type Opts struct {
 	// Reduction selects the opt-in certified state-space reductions for
 	// exhaustive mutual-exclusion exploration (at every worker count).
 	// The zero value is bit-identical to the unreduced explorers. Both
-	// modes are certified into checkpoint snapshots (schema v5): a resume
+	// modes are certified into checkpoint snapshots (since schema v5): a resume
 	// whose reduction modes differ from the snapshot's fails closed with
 	// ErrCheckpointDrift. The randomized search (Random, and the degraded
 	// fallback) always runs full unreduced semantics — a violation it finds

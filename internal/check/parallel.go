@@ -121,10 +121,13 @@ type wsStackFrame struct {
 // elements. keys caches the successors' StateKeys when the batched
 // pre-pass ran (Workers>1 fresh frames); keys == nil marks the direct
 // flavor (Workers=1, and adopted checkpoint frames), whose step charges
-// happen at descent — the reference walker's exact charge order.
+// happen at descent — the reference walker's exact charge order. keyBuf
+// is the storage keys is built in, kept across pushes of the slot so a
+// warm pre-pass allocates nothing.
 type wsFrame struct {
 	elems   []machine.Elem
 	keys    []machine.StateKey
+	keyBuf  []machine.StateKey
 	next    int    // cursor: elems[next:end] are pending
 	end     int    // donations shrink end from the right
 	crashes int    // crash budget spent at this frame's node
@@ -235,10 +238,10 @@ func (s *Subject) ExhaustiveParallel(ctx context.Context, model machine.Model, o
 // pending schedule must replay on a fresh build. Meter usage is preloaded
 // so opts.Budget spans the whole logical run; the wall clock restarts (see
 // run.SharedMeter.Preload). A resumed POR run reduces exactly as a fresh
-// one does, so a complete resume visits the fresh run's states; a v5
-// snapshot written under the older run-time cycle provisos resumes soundly
-// too (DESIGN.md §5j). Subjects with a path monitor never write
-// snapshots, so they have nothing to resume.
+// one does, so a complete resume visits the fresh run's states. A v5
+// snapshot holds keys from the previous StateKey hash and fails closed
+// with ErrCheckpointDrift (see CheckpointVersion). Subjects with a path
+// monitor never write snapshots, so they have nothing to resume.
 func (s *Subject) ResumeExhaustiveParallel(ctx context.Context, model machine.Model, ck *Checkpoint, opts Opts) (Result, error) {
 	if s.Monitor != nil {
 		return Result{}, errors.New("check: checking under a path monitor does not support snapshots; nothing to resume")
@@ -728,8 +731,8 @@ func (w *wsWorker) abortWith(err error) error {
 	return err
 }
 
-// pushFrame appends a fresh frame at the current depth, recycling the
-// slot's element storage.
+// pushFrame appends a fresh direct-flavor frame (keys == nil) at the
+// current depth, recycling the slot's element and key storage.
 func (w *wsWorker) pushFrame(crashes int) *wsFrame {
 	n := len(w.frames)
 	if cap(w.frames) > n {
@@ -738,7 +741,7 @@ func (w *wsWorker) pushFrame(crashes int) *wsFrame {
 		w.frames = append(w.frames, wsFrame{})
 	}
 	f := &w.frames[n]
-	*f = wsFrame{elems: f.elems[:0], crashes: crashes, depth: len(w.path)}
+	*f = wsFrame{elems: f.elems[:0], keyBuf: f.keyBuf, crashes: crashes, depth: len(w.path)}
 	return f
 }
 
@@ -996,7 +999,7 @@ func (w *wsWorker) expand(crashes int, mon uint64, nodeKey machine.StateKey) (bo
 		return false, err
 	}
 	kept := 0
-	f.keys = f.keys[:0]
+	f.keys = f.keyBuf[:0]
 	for _, el := range f.elems {
 		if err := e.meter.AddStep(); err != nil {
 			return bail(err)
@@ -1025,6 +1028,7 @@ func (w *wsWorker) expand(crashes int, mon uint64, nodeKey machine.StateKey) (bo
 		f.keys = append(f.keys, ck)
 		kept++
 	}
+	f.keyBuf = f.keys
 	f.elems = f.elems[:kept]
 	if kept > 0 {
 		if cap(w.fresh) < kept {

@@ -455,3 +455,50 @@ func TestParallelKillDuringStealRace(t *testing.T) {
 		t.Fatalf("want WorkerError or budget trip, got %v", err)
 	}
 }
+
+// TestPrepassExpandAllocatesNothing: once a worker's frame slot, key
+// storage and the configuration's spare snapshots are warm, a Workers>1
+// pre-pass expansion — speculative StepUndo of every successor (crashes
+// included), keying, Revert, and the batched visited-set filter —
+// allocates nothing.
+func TestPrepassExpandAllocatesNothing(t *testing.T) {
+	s, err := NewMutexSubject("bakery", locks.NewBakery, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.Build(machine.PSO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk in until every process has a buffered write to commit, so the
+	// node has commit, program and crash successors.
+	for _, el := range []machine.Elem{machine.PBottom(0), machine.PBottom(1), machine.PBottom(2)} {
+		if _, took, err := cfg.Step(el); err != nil || !took {
+			t.Fatalf("step %v: took=%v err=%v", el, took, err)
+		}
+	}
+	for p := 0; p < cfg.N(); p++ {
+		if cfg.BufferLen(p) == 0 {
+			t.Fatalf("setup: p%d has an empty buffer", p)
+		}
+	}
+	e := &wsEngine{
+		s: s, model: machine.PSO, maxCrashes: 1, workers: 2, prepass: true,
+		meter:   run.NewSharedMeter(bg(), run.Budget{}),
+		visited: machine.NewVisitedSet(),
+	}
+	w := &wsWorker{e: e, cfg: cfg, kr: s.newKeyer(Opts{})}
+	expand := func() {
+		if pushed, err := w.expand(0, 0, machine.StateKey{}); err != nil || !pushed {
+			t.Fatalf("expand: pushed=%v err=%v", pushed, err)
+		}
+		if f := w.frames[0]; len(f.keys) != len(f.elems) || len(f.elems) < 2*cfg.N() {
+			t.Fatalf("expand kept %d successors with %d keys", len(f.elems), len(f.keys))
+		}
+		w.frames = w.frames[:0]
+	}
+	expand()
+	if n := testing.AllocsPerRun(100, expand); n != 0 {
+		t.Fatalf("warm pre-pass expansion: %.1f allocations, want 0", n)
+	}
+}

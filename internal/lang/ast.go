@@ -54,15 +54,23 @@ type Env struct {
 
 // newEnv returns an environment over ci's slots with every local unbound.
 func newEnv(ci *codeIndex, pid, n int) Env {
-	slots := len(ci.localNames)
-	return Env{PID: pid, N: n, ci: ci, mem: make([]Value, slots+(slots+63)/64)}
+	var e Env
+	e.reset(ci, pid, n)
+	return e
 }
 
-// clone returns an independent copy of the environment.
-func (e *Env) clone() Env {
-	c := *e
-	c.mem = append([]Value(nil), e.mem...)
-	return c
+// reset makes e an environment over ci's slots with every local unbound,
+// reusing e's storage when it is large enough.
+func (e *Env) reset(ci *codeIndex, pid, n int) {
+	slots := len(ci.localNames)
+	mem := e.mem
+	if need := slots + (slots+63)/64; cap(mem) >= need {
+		mem = mem[:need]
+		clear(mem)
+	} else {
+		mem = make([]Value, need)
+	}
+	*e = Env{PID: pid, N: n, ci: ci, mem: mem}
 }
 
 // split returns the slot values and the bound bitset's words.

@@ -64,13 +64,13 @@ func TestQuickEvalDeterministic(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := randExpr(rng, 4)
 		env := envOf(3, 8, map[string]Value{"a": Value(a), "b": Value(b)})
-		before := env.clone()
+		before := slices.Clone(env.mem)
 		v1, err1 := e.eval(env)
 		v2, err2 := e.eval(env)
 		if (err1 == nil) != (err2 == nil) || v1 != v2 {
 			return false
 		}
-		return slices.Equal(env.mem, before.mem)
+		return slices.Equal(env.mem, before)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

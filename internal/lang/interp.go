@@ -99,68 +99,93 @@ type ProcState struct {
 	retValue Value
 
 	err error
+
+	// key caches the unrenamed AppendStateKey bytes of the settled or
+	// halted state, valid iff keyOK. Every mutation of encoded state
+	// (advance, CompleteReturn) clears keyOK; CopyFrom carries the cache
+	// and Clone drops it.
+	key   []byte
+	keyOK bool
 }
 
 // NewProcState returns the initial state of process pid (of n) executing
 // prog.
 func NewProcState(prog *Program, pid, n int) *ProcState {
-	return newProcState(prog, prog.index(), pid, n)
+	s := new(ProcState)
+	s.reset(prog, prog.index(), pid, n)
+	return s
 }
 
-func newProcState(prog *Program, ci *codeIndex, pid, n int) *ProcState {
-	return &ProcState{
+// reset makes s the initial state of process pid (of n) executing prog,
+// reusing s's storage for the locals, the control stack and the key cache.
+func (s *ProcState) reset(prog *Program, ci *codeIndex, pid, n int) {
+	env, frames, key := s.env, s.frames[:0], s.key[:0]
+	env.reset(ci, pid, n)
+	*s = ProcState{
 		prog:   prog,
-		env:    newEnv(ci, pid, n),
-		frames: []frame{{blk: ci.body}},
+		env:    env,
+		frames: append(frames, frame{blk: ci.body}),
+		key:    key,
 	}
 }
 
 // Clone returns an independent deep copy of the state: two slice copies
-// (locals and control stack), no per-variable work.
+// (locals and control stack), no per-variable work. The copy carries no
+// cached key bytes, so its next AppendStateKey encodes afresh.
 func (s *ProcState) Clone() *ProcState {
 	c := *s
-	c.env = s.env.clone()
+	c.env.mem = append([]Value(nil), s.env.mem...)
 	c.frames = append([]frame(nil), s.frames...)
+	c.key, c.keyOK = nil, false
 	return &c
+}
+
+// CopyFrom makes s an independent copy of src, cached key bytes included,
+// reusing s's storage for the locals, the control stack and the cache:
+// once s has held a state of src's size, the copy allocates nothing. The
+// machine's rule-4 undo snapshot is a CopyFrom into recycled storage.
+func (s *ProcState) CopyFrom(src *ProcState) {
+	mem := append(s.env.mem[:0], src.env.mem...)
+	frames := append(s.frames[:0], src.frames...)
+	key := append(s.key[:0], src.key...)
+	*s = *src
+	s.env.mem, s.frames, s.key = mem, frames, key
 }
 
 // PID returns the process identifier this state was instantiated with.
 func (s *ProcState) PID() int { return s.env.PID }
 
-// Restart returns a fresh initial state for the same program and process
-// identity: the volatile-state loss of a crash fault. Locals, control
-// stack, pending operation and any recorded error are discarded.
-func (s *ProcState) Restart() *ProcState {
-	return newProcState(s.prog, s.env.ci, s.env.PID, s.env.N)
-}
-
-// CrashRestart returns the post-crash state under the recoverable
-// mutual-exclusion model. For a program with no recovery section it is a
-// cold Restart. For a recoverable program, volatile locals and control
-// state are lost but the program's declared durable locals survive, and
-// the process re-enters execution at its recovery section; when recovery
-// finishes, control resumes at Body[ResumeAt] rather than at the top of
-// the program — the Chan–Woelfel recover→re-compete shape, not a fresh
-// super-passage.
-func (s *ProcState) CrashRestart() *ProcState {
-	p := s.prog
-	if len(p.Recovery) == 0 {
-		return s.Restart()
+// CrashRestart writes the post-crash state under the recoverable
+// mutual-exclusion model into into, reusing its storage (a nil into
+// allocates), and returns it; into must not be s. For a program with no
+// recovery section it is a cold restart: locals, control stack, pending
+// operation and any recorded error are discarded. For a recoverable
+// program, volatile locals and control state are lost but the program's
+// declared durable locals survive, and the process re-enters execution at
+// its recovery section; when recovery finishes, control resumes at
+// Body[ResumeAt] rather than at the top of the program — the Chan–Woelfel
+// recover→re-compete shape, not a fresh super-passage.
+func (s *ProcState) CrashRestart(into *ProcState) *ProcState {
+	if into == nil {
+		into = new(ProcState)
 	}
-	ci := s.env.ci
-	ns := newProcState(p, ci, s.env.PID, s.env.N)
+	p, ci := s.prog, s.env.ci
+	into.reset(p, ci, s.env.PID, s.env.N)
+	if len(p.Recovery) == 0 {
+		return into
+	}
 	for _, i := range ci.durable {
 		if s.env.isBound(i) {
-			ns.env.set(i, s.env.mem[i])
+			into.env.set(i, s.env.mem[i])
 		}
 	}
 	// Bottom frame resumes the main body at ResumeAt once the recovery
 	// frame on top of it is exhausted.
-	ns.frames = []frame{
-		{blk: ci.body, idx: p.ResumeAt},
-		{blk: ci.recovery},
-	}
-	return ns
+	into.frames = append(into.frames[:0],
+		frame{blk: ci.body, idx: p.ResumeAt},
+		frame{blk: ci.recovery},
+	)
+	return into
 }
 
 // Program returns the program this state executes.
@@ -337,7 +362,7 @@ func (s *ProcState) poisedAt() *instr {
 // When the pending op came from the implicit end-of-program return there is
 // no frame to advance.
 func (s *ProcState) advance() {
-	s.settled = false
+	s.settled, s.keyOK = false, false
 	if len(s.frames) == 0 {
 		return
 	}
@@ -409,8 +434,9 @@ func (s *ProcState) CompleteReturn() error {
 	}
 	s.halted = true
 	s.retValue = op.Val
-	s.frames = nil
-	s.settled = false
+	// The control stack keeps its capacity for a later CopyFrom.
+	s.frames = s.frames[:0]
+	s.settled, s.keyOK = false, false
 	return nil
 }
 

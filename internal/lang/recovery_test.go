@@ -85,7 +85,7 @@ func TestRecoverableProgramSurface(t *testing.T) {
 		}
 		_ = op
 	}
-	ns := s.CrashRestart()
+	ns := s.CrashRestart(nil)
 	if ns == s {
 		t.Fatal("recoverable CrashRestart returned the same state")
 	}
@@ -118,7 +118,7 @@ func TestRecoverableProgramSurface(t *testing.T) {
 	if err := q.CompleteRead(1); err != nil {
 		t.Fatal(err)
 	}
-	nq := q.CrashRestart()
+	nq := q.CrashRestart(nil)
 	op, ok, err = nq.NextOp()
 	if err != nil || !ok || op.Kind != OpRead || op.Reg != 5 {
 		t.Fatalf("cold CrashRestart op = %v %v %v, want the first read", op, ok, err)
@@ -149,7 +149,7 @@ func TestStateKeyRecoverySections(t *testing.T) {
 			t.Fatal(err)
 		}
 		if crash {
-			s = s.CrashRestart()
+			s = s.CrashRestart(nil)
 			for i := 0; i < recSteps; i++ {
 				if _, _, err := s.NextOp(); err != nil {
 					t.Fatal(err)

@@ -95,7 +95,7 @@ func TestLocalsBeyondOneBitsetWord(t *testing.T) {
 	if err := bound.CompleteRead(9); err != nil {
 		t.Fatal(err)
 	}
-	ns := bound.CrashRestart()
+	ns := bound.CrashRestart(nil)
 	if _, _, err := ns.NextOp(); err != nil {
 		t.Fatal(err)
 	}

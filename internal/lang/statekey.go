@@ -270,7 +270,23 @@ const (
 // process-symmetry canonicalization uses it to rename PID-typed locals.
 // Callers must settle the state first (call NextOp) so pending local
 // computation does not make semantically equal states look different.
+//
+// Without a rename, the encoding of a settled or halted state is cached in
+// the state and later calls copy it until the state next changes: a step
+// changes one process, and the other processes' segments are copied, not
+// re-encoded.
 func (s *ProcState) AppendStateKey(buf []byte, rename func(slot int, v Value) Value) []byte {
+	if rename != nil {
+		return s.appendStateKey(buf, rename)
+	}
+	if !s.keyOK {
+		s.key = s.appendStateKey(s.key[:0], nil)
+		s.keyOK = s.settled || s.halted
+	}
+	return append(buf, s.key...)
+}
+
+func (s *ProcState) appendStateKey(buf []byte, rename func(slot int, v Value) Value) []byte {
 	if s.halted {
 		buf = append(buf, stateTagHalted)
 		return binary.AppendVarint(buf, s.retValue)

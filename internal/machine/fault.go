@@ -210,13 +210,13 @@ func (c *Config) crashStep(p int, u *Undo) (StepRecord, bool, error) {
 		u.crashed = true
 		u.prevBuf = c.wbs[p]
 		u.prevProc = ps
-		u.prevCacheKnown = append([]bool(nil), known...)
+		u.prevCacheKnown = append(c.spareRow(), known...)
 	}
-	c.wbs[p] = newBuffer(c.model)
-	c.procs[p] = ps.CrashRestart()
-	for i := range known {
-		known[i] = false
-	}
+	// The restarted state and the empty buffer are built in storage an
+	// earlier Revert released, when there is some.
+	c.wbs[p] = c.spareBuffer()
+	c.procs[p] = ps.CrashRestart(c.spareProc())
+	clear(known)
 
 	c.stats.Crashes[p]++
 	c.stats.Steps[p]++

@@ -123,11 +123,11 @@ type Config struct {
 	// through recovery continues the same super-passage, exactly the
 	// Chan–Woelfel cost unit. Deliberately excluded from state keys and
 	// fingerprints — it is cost accounting, not behaviour.
-	passEnabled        bool
+	passEnabled         bool
 	passEnter, passExit Reg
-	passLog            *PassageLog
-	passOpen           []bool
-	passCC, passDSM    []int64
+	passLog             *PassageLog
+	passOpen            []bool
+	passCC, passDSM     []int64
 
 	// Reorder-bounded buffer semantics (opt-in; see SetReorderBound). When
 	// reorderBound > 0, wbAges[p*cacheStride+r] is the reorder distance of
@@ -142,6 +142,14 @@ type Config struct {
 	reorderBound int
 	wbAges       []uint8
 	ageScratch   []Reg
+
+	// Storage that Revert released, reused by later undo records (see
+	// undo.go): interpreter states for rule-4 snapshots and crash
+	// restarts, write buffers for crashes, and cache-presence rows for
+	// crash undos. A configuration never shares it; Clone starts empty.
+	spareProcs []*lang.ProcState
+	spareBufs  []writeBuffer
+	spareRows  [][]bool
 }
 
 // MaxReorderBound is the largest accepted reorder bound: ages are stored
@@ -328,7 +336,10 @@ func (c *Config) SetRegister(r Reg, v Value) {
 	c.mem[r] = v
 }
 
-// Proc returns process p's interpreter state.
+// Proc returns process p's live interpreter state. It stays valid until
+// the next step or revert of the configuration: Revert swaps the
+// pre-step snapshot back in and recycles the state it replaces as storage
+// for a later snapshot, so callers must not hold the pointer across steps.
 func (c *Config) Proc(p int) *lang.ProcState { return c.procs[p] }
 
 // Halted reports whether process p is in a final state.
@@ -521,10 +532,11 @@ func (c *Config) step(e Elem, u *Undo) (rec StepRecord, took bool, err error) {
 
 	// Rule 4: perform the pending program operation. These arms mutate the
 	// process's interpreter state in place, so the undo log snapshots it
-	// first (commit steps above never touch it — NextOp settled it, and
-	// settling is behaviour-invariant).
+	// first, into recycled storage (commit steps above never touch it —
+	// NextOp settled it, and settling is behaviour-invariant).
 	if u != nil {
-		u.prevProc = ps.Clone()
+		u.prevProc = c.spareProc()
+		u.prevProc.CopyFrom(ps)
 	}
 	switch op.Kind {
 	case lang.OpRead:

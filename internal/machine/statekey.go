@@ -41,31 +41,74 @@ func ParseStateKey(s string) (StateKey, error) {
 	return k, nil
 }
 
-// FNV-1a 128-bit parameters (FNV prime 2^88 + 0x13B and offset basis),
-// split into 64-bit halves. The stdlib's fnv.New128a works on exactly
-// these constants but allocates per hash; the explorer keys millions of
-// states, so the multiply is inlined below with bits.Mul64.
+// MurmurHash3 x64_128 multipliers (Austin Appleby's reference constants).
 const (
-	fnv128OffsetHi = 0x6c62272e07bb0142
-	fnv128OffsetLo = 0x62b821756295c58d
-	fnv128PrimeHi  = 0x0000000001000000
-	fnv128PrimeLo  = 0x000000000000013B
+	murmurC1 = 0x87c37b91114253d5
+	murmurC2 = 0x4cf5ad432745937f
 )
 
-// HashStateKey hashes a canonical state encoding to its fixed-size key
-// (FNV-1a, 128-bit, allocation-free).
+// HashStateKey hashes a canonical state encoding to its fixed-size key:
+// MurmurHash3 x64_128 with seed 0, which mixes the input 16 bytes at a
+// time (allocation-free, stdlib only). The key holds the two 64-bit
+// halves little-endian, h1 first — the reference implementation's byte
+// order. DESIGN.md §5d gives the collision bound.
 func HashStateKey(b []byte) StateKey {
-	hi, lo := uint64(fnv128OffsetHi), uint64(fnv128OffsetLo)
-	for _, c := range b {
-		lo ^= uint64(c)
-		// (hi·2^64 + lo) · (pHi·2^64 + pLo) mod 2^128
-		h, l := bits.Mul64(lo, fnv128PrimeLo)
-		h += hi*fnv128PrimeLo + lo*fnv128PrimeHi
-		hi, lo = h, l
+	var h1, h2 uint64
+	n := uint64(len(b))
+	for ; len(b) >= 16; b = b[16:] {
+		k1 := binary.LittleEndian.Uint64(b)
+		k2 := binary.LittleEndian.Uint64(b[8:])
+		h1 ^= murmurMix1(k1)
+		h1 = bits.RotateLeft64(h1, 27) + h2
+		h1 = h1*5 + 0x52dce729
+		h2 ^= murmurMix2(k2)
+		h2 = bits.RotateLeft64(h2, 31) + h1
+		h2 = h2*5 + 0x38495ab5
 	}
+	// Tail: up to 15 bytes, little-endian into k1 (bytes 0-7) and k2
+	// (bytes 8-14).
+	var k1, k2 uint64
+	for i := len(b) - 1; i >= 8; i-- {
+		k2 = k2<<8 | uint64(b[i])
+	}
+	for i := min(len(b), 8) - 1; i >= 0; i-- {
+		k1 = k1<<8 | uint64(b[i])
+	}
+	if len(b) > 8 {
+		h2 ^= murmurMix2(k2)
+	}
+	if len(b) > 0 {
+		h1 ^= murmurMix1(k1)
+	}
+	h1 ^= n
+	h2 ^= n
+	h1 += h2
+	h2 += h1
+	h1 = murmurFmix(h1)
+	h2 = murmurFmix(h2)
+	h1 += h2
+	h2 += h1
 	var k StateKey
-	binary.BigEndian.PutUint64(k[:8], hi)
-	binary.BigEndian.PutUint64(k[8:], lo)
+	binary.LittleEndian.PutUint64(k[:8], h1)
+	binary.LittleEndian.PutUint64(k[8:], h2)
+	return k
+}
+
+func murmurMix1(k uint64) uint64 {
+	return bits.RotateLeft64(k*murmurC1, 31) * murmurC2
+}
+
+func murmurMix2(k uint64) uint64 {
+	return bits.RotateLeft64(k*murmurC2, 33) * murmurC1
+}
+
+// murmurFmix is the finalizer that avalanches every input bit.
+func murmurFmix(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
 	return k
 }
 

@@ -284,7 +284,8 @@ func FuzzStateKeyParse(f *testing.F) {
 
 // FuzzHashStateKeyExtension: hashing is deterministic, round-trips
 // through hex, and a one-byte extension of the encoding never collides
-// (an FNV-1a prefix-extension collision would be a codec bug magnet).
+// (the hash folds in the input length, so a trailing zero byte must still
+// move the key).
 func FuzzHashStateKeyExtension(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{0})

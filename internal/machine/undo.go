@@ -16,6 +16,15 @@ import "tradingfences/internal/lang"
 // mutation (it wipes the process's buffer and cache row), so its undo
 // keeps the replaced buffer and a copy of the row's presence bits.
 //
+// Undo records allocate nothing once a configuration is warm. What a
+// Revert throws away — the stepping process's post-step interpreter
+// state, a crash's restarted state and emptied buffer, a crash undo's
+// presence-row copy — goes to the configuration's spare storage, and the
+// next snapshot or crash takes from it. A rule-4 snapshot is a
+// lang.ProcState.CopyFrom of the live state into spare storage, and
+// Revert swaps it back in, so the state Config.Proc returns is valid only
+// until the next step or revert of the configuration.
+//
 // Like Step, StepUndo may settle the stepping process's pending local
 // computation before deciding which rule fires; Revert does not unsettle
 // it. Settling is behaviour-invariant (state keys, fingerprints and
@@ -44,9 +53,10 @@ type Undo struct {
 	valid bool
 
 	// Interpreter state of the stepping process before a rule-4 program
-	// step (commit steps never touch it). For a crash step this is the
-	// pre-crash state itself: crashStep replaces the pointer, leaving the
-	// old value intact.
+	// step (commit steps never touch it): a copy into recycled storage,
+	// swapped back in by Revert. For a crash step this is the pre-crash
+	// state itself: crashStep replaces the pointer, leaving the old value
+	// intact.
 	prevProc *lang.ProcState
 
 	// One shared-memory cell.
@@ -84,8 +94,9 @@ type Undo struct {
 	agePutPrev    uint8
 
 	// Crash-only bulk state: the replaced write buffer (kept, not copied —
-	// crashStep installs a fresh one) and the cache row's presence bits
-	// (a crash clears them; the value cells are untouched).
+	// crashStep installs an empty recycled one) and a copy of the cache
+	// row's presence bits (a crash clears them; the value cells are
+	// untouched).
 	crashed        bool
 	prevBuf        writeBuffer
 	prevCacheKnown []bool
@@ -139,14 +150,19 @@ func (u *Undo) Revert() {
 	u.valid = false
 	c, p := u.c, u.p
 
-	if u.crashed {
-		c.wbs[p] = u.prevBuf
+	// The states and buffers this revert replaces go back to the
+	// configuration's spare storage; only the live ones can be replaced,
+	// since every snapshot is owned by exactly one undo record.
+	if u.prevProc != nil {
+		c.spareProcs = append(c.spareProcs, c.procs[p])
 		c.procs[p] = u.prevProc
+	}
+	if u.crashed {
+		c.spareBufs = append(c.spareBufs, c.wbs[p])
+		c.wbs[p] = u.prevBuf
 		copy(c.cacheKnown[p*c.cacheStride:(p+1)*c.cacheStride], u.prevCacheKnown)
+		c.spareRows = append(c.spareRows, u.prevCacheKnown)
 	} else {
-		if u.prevProc != nil {
-			c.procs[p] = u.prevProc
-		}
 		switch u.bufOp {
 		case bufUncommit:
 			c.wbs[p].uncommit(u.bufWrite)
@@ -188,4 +204,41 @@ func (u *Undo) Revert() {
 		c.passCC[p] = u.passPrevCC
 		c.passDSM[p] = u.passPrevDSM
 	}
+}
+
+// spareProc returns interpreter-state storage released by an earlier
+// Revert, or a new state when there is none. Its contents are stale: the
+// caller overwrites them (CopyFrom, CrashRestart).
+func (c *Config) spareProc() *lang.ProcState {
+	n := len(c.spareProcs)
+	if n == 0 {
+		return new(lang.ProcState)
+	}
+	ps := c.spareProcs[n-1]
+	c.spareProcs = c.spareProcs[:n-1]
+	return ps
+}
+
+// spareBuffer returns an empty write buffer for the configuration's
+// model, recycled when a Revert released one.
+func (c *Config) spareBuffer() writeBuffer {
+	n := len(c.spareBufs)
+	if n == 0 {
+		return newBuffer(c.model)
+	}
+	b := c.spareBufs[n-1]
+	c.spareBufs = c.spareBufs[:n-1]
+	b.reset()
+	return b
+}
+
+// spareRow returns an empty cache-presence row with recycled capacity.
+func (c *Config) spareRow() []bool {
+	n := len(c.spareRows)
+	if n == 0 {
+		return nil
+	}
+	r := c.spareRows[n-1]
+	c.spareRows = c.spareRows[:n-1]
+	return r[:0]
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,25 @@ func requireConfigsEqual(t *testing.T, label string, a, b *Config) {
 	}
 }
 
+// requireFreshKey asserts that c's key bytes, assembled from the
+// processes' cached segments, equal a fresh encoding of c.Clone(), whose
+// processes carry no cache: a mutation that failed to clear a segment
+// cache, or a recycled state that kept another state's cache, shows here.
+func requireFreshKey(t *testing.T, label string, c *Config) {
+	t.Helper()
+	got, err := c.AppendStateBytes(nil)
+	if err != nil {
+		t.Fatalf("%s: key bytes: %v", label, err)
+	}
+	want, err := c.Clone().AppendStateBytes(nil)
+	if err != nil {
+		t.Fatalf("%s: fresh key bytes: %v", label, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: cached key bytes\n  %x\nfresh encoding\n  %x", label, got, want)
+	}
+}
+
 // undoElems builds a random schedule over n processes that also includes
 // crash elements (randomSchedule in determinism_test.go is crash-free).
 func undoElems(rng *rand.Rand, n, steps int, maxReg Reg) Schedule {
@@ -117,6 +137,8 @@ func undoElems(rng *rand.Rand, n, steps int, maxReg Reg) Schedule {
 // (3) re-applying after the revert reproduces the step exactly. The
 // surviving configuration is compared against a reference that only ever
 // used Step, so undo bookkeeping cannot leak into forward execution.
+// After every step and every revert the cached key bytes must match a
+// fresh encoding.
 func stepUndoWalk(t *testing.T, model Model, fp *FaultPlan, sched Schedule, progs []*lang.Program) {
 	t.Helper()
 	lay := NewLayout()
@@ -150,7 +172,9 @@ func stepUndoWalk(t *testing.T, model Model, fp *FaultPlan, sched Schedule, prog
 			requireConfigsEqual(t, "no-op step", c, before)
 			continue
 		}
+		requireFreshKey(t, "after step", c)
 		u.Revert()
+		requireFreshKey(t, "after revert", c)
 		requireConfigsEqual(t, "after revert", c, before)
 		rec2, took2, err2 := c.Step(e)
 		if err2 != nil || !took2 || rec2 != rec {
@@ -233,40 +257,75 @@ func TestStepUndoZeroValueInert(t *testing.T) {
 	requireConfigsEqual(t, "inert undos", c, before)
 }
 
+// recycleProgs mixes the undo walks' straight-line workers with a
+// recoverable looping worker that binds more locals, so the spare storage
+// is passed between processes of different shapes and crash restarts
+// carry a durable local into recycled states.
+func recycleProgs() []*lang.Program {
+	loop := recoverable("loop",
+		[]lang.Stmt{
+			lang.Assign("i", lang.I(0)),
+			lang.While(lang.Lt(lang.L("i"), lang.I(3)),
+				lang.Read("d", lang.I(102)),
+				lang.Write(lang.I(102), lang.Add(lang.L("d"), lang.I(1))),
+				lang.Assign("i", lang.Add(lang.L("i"), lang.I(1))),
+			),
+			lang.Fence(),
+			lang.Return(lang.L("d")),
+		},
+		[]lang.Stmt{lang.Read("r", lang.I(102)), lang.Fence()},
+		1, "d")
+	return []*lang.Program{incProgram(), loop, incProgram()}
+}
+
 // TestStepUndoRevertStack: reverts compose in LIFO order — a depth-first
 // walk that descends k steps and unwinds them one by one lands back on the
-// root exactly, at every unwind depth.
+// root exactly, at every unwind depth. One configuration runs many such
+// descend-and-unwind cycles with crashes, so rule-4 snapshots, restarted
+// states, write buffers and cache-presence rows released by one cycle's
+// reverts are reused by the next; after every step and every revert the
+// cached key bytes must equal a fresh encoding.
 func TestStepUndoRevertStack(t *testing.T) {
 	for _, model := range undoModels {
-		model := model
 		t.Run(model.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			sched := undoElems(rng, 3, 40, 121)
+			rng := rand.New(rand.NewSource(11))
 			lay := NewLayout()
 			lay.MustAlloc("regs", 128, OwnedBy)
-			c, err := NewConfig(model, lay, undoProgs())
+			c, err := NewConfig(model, lay, recycleProgs())
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.SetFaultPlan(&FaultPlan{MaxCrashes: 2})
-			snapshots := []*Config{c.Clone()}
-			var undos []Undo
-			for _, e := range sched {
-				_, took, u, err := c.StepUndo(e)
-				if err != nil {
-					t.Fatal(err)
+			reused := 0
+			for cycle := 0; cycle < 40; cycle++ {
+				spare := len(c.spareProcs)
+				snapshots := []*Config{c.Clone()}
+				var undos []Undo
+				for _, e := range undoElems(rng, 3, 30, 121) {
+					_, took, u, err := c.StepUndo(e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !took {
+						continue
+					}
+					requireFreshKey(t, "after step", c)
+					undos = append(undos, u)
+					snapshots = append(snapshots, c.Clone())
 				}
-				if !took {
-					continue
+				if len(c.spareProcs) < spare {
+					reused++
 				}
-				undos = append(undos, u)
-				snapshots = append(snapshots, c.Clone())
+				for len(undos) > 0 {
+					undos[len(undos)-1].Revert()
+					undos = undos[:len(undos)-1]
+					snapshots = snapshots[:len(snapshots)-1]
+					requireFreshKey(t, "after revert", c)
+					requireConfigsEqual(t, "unwind", c, snapshots[len(snapshots)-1])
+				}
 			}
-			for len(undos) > 0 {
-				undos[len(undos)-1].Revert()
-				undos = undos[:len(undos)-1]
-				snapshots = snapshots[:len(snapshots)-1]
-				requireConfigsEqual(t, "unwind", c, snapshots[len(snapshots)-1])
+			if reused == 0 || len(c.spareBufs) == 0 || len(c.spareRows) == 0 {
+				t.Fatalf("storage not recycled: %d cycles reused states; %d spare buffers, %d spare rows",
+					reused, len(c.spareBufs), len(c.spareRows))
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // VisitedShards is the fixed shard count of a VisitedSet. Keys are routed
@@ -26,9 +27,10 @@ type VisitedSet struct {
 type visitedShard struct {
 	mu sync.Mutex
 	m  map[StateKey]struct{}
-	// Pad the shard out to its own cache line(s) so neighboring shard
-	// mutexes do not false-share.
-	_ [24]byte
+	// Pad the shard to one 64-byte cache line so neighboring shard
+	// mutexes do not false-share (a map value is one pointer word).
+	// TestVisitedShardFillsCacheLine pins the size.
+	_ [64 - unsafe.Sizeof(sync.Mutex{}) - unsafe.Sizeof(uintptr(0))]byte
 }
 
 // NewVisitedSet returns an empty set.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // keyN derives a distinct StateKey whose shard is controlled by the
@@ -14,6 +15,15 @@ func keyN(shard, n int) StateKey {
 	k[1] = byte(n)
 	k[2] = byte(n >> 8)
 	return k
+}
+
+// TestVisitedShardFillsCacheLine: each shard (mutex, map pointer,
+// padding) is exactly one 64-byte cache line, so neighbouring shards'
+// mutexes never share one.
+func TestVisitedShardFillsCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(visitedShard{}); n != 64 {
+		t.Fatalf("visitedShard is %d bytes, want 64", n)
+	}
 }
 
 func TestVisitedTryVisitHasRemove(t *testing.T) {

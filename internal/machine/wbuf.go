@@ -98,6 +98,8 @@ type writeBuffer interface {
 	appendEntries(dst []Write) []Write
 	// clone returns an independent deep copy.
 	clone() writeBuffer
+	// reset empties the buffer, keeping its storage.
+	reset()
 }
 
 // psoBuffer implements the paper's unordered write buffer as a flat slice
@@ -207,6 +209,7 @@ func (b *psoBuffer) clone() writeBuffer {
 	return c
 }
 
+func (b *psoBuffer) reset() { b.ws = b.ws[:0] }
 
 // tsoBuffer implements a FIFO store buffer: only the oldest write may
 // commit, so writes reach memory in program order. A later write to a
@@ -297,6 +300,7 @@ func (b *tsoBuffer) clone() writeBuffer {
 	copy(c.q, b.q)
 	return c
 }
+func (b *tsoBuffer) reset() { b.q = b.q[:0] }
 
 // scBuffer is the degenerate buffer of sequential consistency: the machine
 // commits every write within the same step, so the buffer is always empty
@@ -319,6 +323,7 @@ func (scBuffer) appendEntries(dst []Write) []Write {
 	return dst
 }
 func (scBuffer) clone() writeBuffer { return scBuffer{} }
+func (scBuffer) reset()             {}
 
 func newBuffer(m Model) writeBuffer {
 	switch m {
