@@ -12,10 +12,12 @@ import (
 // value of each field means "unlimited".
 //
 // Memory accounting unit: exhaustive checking charges MaxMemEstimate a
-// fixed amount per visited state — the 16-byte binary StateKey plus a
-// constant per-entry map overhead — so the estimate is exact and
-// independent of lock size, process count and memory model. The visited
-// set is the dominant retained memory of an exploration: every check runs
+// fixed 64 bytes per visited state — the 16-byte binary StateKey plus a
+// constant allowance for the visited table's free slots, which take at
+// most another 27 bytes per key once the table has grown past its
+// initial 64 KiB — so the estimate is deterministic and independent of
+// lock size, process count and memory model. The visited set is the
+// dominant retained memory of an exploration: every check runs
 // the one exploration engine, which walks one configuration per worker
 // under an undo trail and keeps no per-state configuration copies.
 // Liveness checking also keeps its state graph, and charges a measured

@@ -197,7 +197,7 @@ type Result struct {
 	// (equally valid) watermarks.
 	Passages *machine.PassageStats
 	// Engine reports the work-stealing engine's behavior (workers,
-	// steals, parks, batched lookups, snapshots written). Every exhaustive
+	// steals, donations, parks, snapshots written). Every exhaustive
 	// run sets it — Exhaustive is the engine at one worker; nil for the
 	// random checker.
 	Engine *EngineStats
@@ -223,11 +223,11 @@ func fillPassages(res *Result, log *machine.PassageLog) {
 	}
 }
 
-// stateKeyOverhead is the fixed per-visited-state bookkeeping cost (map
-// entry plus slot) added to the key size for memory budgeting. Each
-// visited state is charged exactly machine.StateKeySize+stateKeyOverhead
-// bytes — state keys are fixed-width, so the accounting is exact, not a
-// string-length heuristic.
+// stateKeyOverhead is the fixed per-visited-state bookkeeping allowance
+// added to the key size for memory budgeting. Each visited state is
+// charged exactly machine.StateKeySize+stateKeyOverhead = 64 bytes. A
+// grown visited table is at least 3/8 full, so it takes at most
+// 16/(3/8) ≈ 43 bytes per key and the charge bounds it from above.
 const stateKeyOverhead = 48
 
 // keyer computes visited-set keys: a canonical binary state encoding into

@@ -189,11 +189,13 @@ type Checkpoint struct {
 	// an interrupted-and-resumed chain.
 	Level int `json:"level"`
 	// Frontier holds the stealable pending edges that were still queued
-	// (published by donating workers or re-queued at shutdown).
+	// (published by donating workers or re-queued at shutdown). Each
+	// edge's final step is already in Steps.
 	Frontier []CheckpointNode `json:"frontier"`
-	// Stacks holds the paused workers' serialized DFS stacks. Frontier
-	// and Stacks together cover every unexplored successor; at least one
-	// of them is non-empty (completed runs are not snapshotted).
+	// Stacks holds the paused workers' serialized DFS stacks, whose
+	// pending elements are not yet charged. Frontier and Stacks together
+	// cover every unexplored successor; at least one of them is non-empty
+	// (completed runs are not snapshotted).
 	Stacks []CheckpointStack `json:"stacks,omitempty"`
 	// Shards holds the visited fingerprints partitioned by key hash
 	// (machine.VisitedShards shards, independent of the worker count).
@@ -491,33 +493,14 @@ func (s *Subject) loadCheckpoint(model machine.Model, ck *Checkpoint, maxCrashes
 		mem:     ck.Mem,
 	}
 	if rs.reused {
-		// Bulk-load the shards through the batch API: one lock acquisition
-		// per (chunk, shard) instead of per key.
-		batch := make([]machine.StateKey, 0, 512)
-		fresh := make([]bool, 512)
-		flush := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			rs.visited.TryVisitBatch(batch, fresh[:len(batch)])
-			batch = batch[:0]
-			return nil
-		}
 		for _, shard := range ck.Shards {
 			for _, hexKey := range shard {
 				key, err := machine.ParseStateKey(hexKey)
 				if err != nil {
 					return nil, fmt.Errorf("checkpoint: %w", err)
 				}
-				if batch = append(batch, key); len(batch) == cap(batch) {
-					if err := flush(); err != nil {
-						return nil, err
-					}
-				}
+				rs.visited.TryVisit(key)
 			}
-		}
-		if err := flush(); err != nil {
-			return nil, err
 		}
 	}
 	replays := func(what string, i int, sched machine.Schedule) error {
@@ -538,7 +521,7 @@ func (s *Subject) loadCheckpoint(model machine.Model, ck *Checkpoint, maxCrashes
 		if err := replays("frontier", i, sched); err != nil {
 			return nil, err
 		}
-		rs.entries = append(rs.entries, wsEntry{sched: sched, crashes: nd.Crashes, donor: -1, charged: true})
+		rs.entries = append(rs.entries, wsEntry{sched: sched, crashes: nd.Crashes, donor: -1})
 	}
 	for i, st := range ck.Stacks {
 		sched, err := machine.ParseSchedule(st.Schedule)
@@ -556,7 +539,7 @@ func (s *Subject) loadCheckpoint(model machine.Model, ck *Checkpoint, maxCrashes
 			}
 			frames[j] = wsStackFrame{depth: fr.Depth, crashes: fr.Crashes, elems: elems}
 		}
-		rs.entries = append(rs.entries, wsEntry{sched: sched, donor: -1, charged: true, stack: frames})
+		rs.entries = append(rs.entries, wsEntry{sched: sched, donor: -1, stack: frames})
 	}
 	return rs, nil
 }

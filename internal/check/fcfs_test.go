@@ -183,9 +183,8 @@ func TestFCFSMonitorMatchesCloneReference(t *testing.T) {
 }
 
 // TestFCFSEngineWorkerCounts: the monitor rides through the engine's
-// multi-worker paths too — the batched pre-pass, donated and replayed
-// schedules — so complete-run counts stay exact and a found overtake
-// replays.
+// multi-worker paths too — donated schedules replayed by a thief — so
+// complete-run counts stay exact and a found overtake replays.
 func TestFCFSEngineWorkerCounts(t *testing.T) {
 	bakery, err := NewFCFSSubject("bakery", locks.NewBakery, 2)
 	if err != nil {

@@ -19,19 +19,26 @@
 // rides in each DFS frame beside the spent crash count; the liveness
 // analysis runs it at one worker with a graph recorder (see visit).
 //
+// Every worker count expands a node the same way: its successors go onto a
+// lazy frame, and each one is charged, stepped and interned (one TryVisit)
+// when the worker descends into it. The one exception is a donated edge,
+// which its donor charges as it queues it, so every queued edge is
+// already charged.
+//
 // Determinism contract. With Workers=1 the engine is deterministic: one
 // worker, no donations, the canonical successor order and charges at
 // descent, so verdict, witness schedule, state count and budget-trip point
 // are the same on every run — and, without reductions, bit-identical to
 // the clone-per-edge reference walker of parity_test.go. With Workers>1
 // the verdict and — on complete runs, POR included (its cycle proviso is
-// static; see por.go) — the state count and step total are still exact,
-// but traversal order is scheduling-dependent: which violation witness is
-// found first, and where a budget trips, may vary between runs. POR
-// counts under symmetry keying are left out of the exactness claim (see
-// ExhaustiveParallel). Snapshots taken by this engine are certified as an
-// explicit mode in checkpoint schema v4 (Checkpoint.Engine); level-sync v2
-// and v3 snapshots fail closed with ErrCheckpointDrift.
+// static; see por.go), and after a resume from a barrier snapshot — the
+// state count and step total are still exact, but traversal order is
+// scheduling-dependent: which violation witness is found first, and where
+// a budget trips, may vary between runs. POR counts under symmetry keying
+// are left out of the exactness claim (see ExhaustiveParallel). Snapshots
+// taken by this engine are certified as an explicit mode in checkpoint
+// schema v4 (Checkpoint.Engine); level-sync v2 and v3 snapshots fail
+// closed with ErrCheckpointDrift.
 package check
 
 import (
@@ -79,8 +86,8 @@ type EngineStats struct {
 	// Parks counts the times a worker went idle waiting for stealable
 	// work (or for a checkpoint barrier to complete).
 	Parks int64 `json:"parks"`
-	// BatchLookups counts batched visited-set pre-filters (one per
-	// expanded node at Workers>1).
+	// BatchLookups is always 0: no expansion batches its visited-set
+	// lookups. The field stays for existing readers of EngineStats.
 	BatchLookups int64 `json:"batch_lookups"`
 	// Checkpoints counts snapshots written during the run.
 	Checkpoints int64 `json:"checkpoints"`
@@ -97,16 +104,17 @@ var errStopped = errors.New("check: exploration stopped")
 //   - an edge: sched reaches a not-yet-interned target configuration from
 //     the root (stack == nil). The consumer replays sched[:len-1], steps
 //     the final element, and explores the subtree under the target. The
-//     root entry is the degenerate edge with an empty schedule.
+//     final element's step is already charged: by the donor, or by the
+//     run that wrote the snapshot the edge was resumed from. The root
+//     entry is the degenerate edge with an empty schedule.
 //   - a whole stack (stack != nil): a serialized DFS stack from a
 //     checkpoint. The consumer replays sched once and re-enters the DFS
 //     with every pending frame — deep checkpointed stacks cost one
 //     replay, not one per pending edge.
 type wsEntry struct {
 	sched   machine.Schedule
-	crashes int  // crash budget spent along sched (edge entries)
-	donor   int  // donating worker id, -1 for root/resume entries
-	charged bool // final edge element's step charge already metered
+	crashes int // crash budget spent along sched (edge entries)
+	donor   int // donating worker id, -1 for root/resume entries
 	stack   []wsStackFrame
 }
 
@@ -118,16 +126,10 @@ type wsStackFrame struct {
 }
 
 // wsFrame is one live DFS stack frame: a node's not-yet-explored successor
-// elements. keys caches the successors' StateKeys when the batched
-// pre-pass ran (Workers>1 fresh frames); keys == nil marks the direct
-// flavor (Workers=1, and adopted checkpoint frames), whose step charges
-// happen at descent — the reference walker's exact charge order. keyBuf
-// is the storage keys is built in, kept across pushes of the slot so a
-// warm pre-pass allocates nothing.
+// elements, none of them charged yet (each is charged at descent, in the
+// reference walker's charge order, or when it is donated).
 type wsFrame struct {
 	elems   []machine.Elem
-	keys    []machine.StateKey
-	keyBuf  []machine.StateKey
 	next    int    // cursor: elems[next:end] are pending
 	end     int    // donations shrink end from the right
 	crashes int    // crash budget spent at this frame's node
@@ -142,7 +144,6 @@ type wsEngine struct {
 	opts       Opts
 	maxCrashes int
 	workers    int
-	prepass    bool // Workers>1: batched successor pre-filtering
 	meter      *run.SharedMeter
 	visited    *machine.VisitedSet
 	plog       *machine.PassageLog
@@ -176,11 +177,10 @@ type wsEngine struct {
 	sinceCk   atomic.Int64
 	threshold atomic.Int64
 
-	steals       atomic.Int64
-	donated      atomic.Int64
-	parks        atomic.Int64
-	batchLookups atomic.Int64
-	snapshots    atomic.Int64
+	steals    atomic.Int64
+	donated   atomic.Int64
+	parks     atomic.Int64
+	snapshots atomic.Int64
 }
 
 // wsWorker is one worker's private exploration state.
@@ -197,9 +197,8 @@ type wsWorker struct {
 	entry   wsEntry
 
 	// Reusable scratch.
-	regs  []machine.Reg
-	in    []int
-	fresh []bool
+	regs []machine.Reg
+	in   []int
 }
 
 // ExhaustiveParallel explores every schedule of the subject under the
@@ -237,7 +236,9 @@ func (s *Subject) ExhaustiveParallel(ctx context.Context, model machine.Model, o
 // mode and the engine must match (ErrCheckpointDrift otherwise), and every
 // pending schedule must replay on a fresh build. Meter usage is preloaded
 // so opts.Budget spans the whole logical run; the wall clock restarts (see
-// run.SharedMeter.Preload). A resumed POR run reduces exactly as a fresh
+// run.SharedMeter.Preload). A barrier snapshot's frontier edges are
+// charged and its stacks' pending elements are not, so a complete resume
+// from it charges the fresh run's step total. A resumed POR run reduces exactly as a fresh
 // one does, so a complete resume visits the fresh run's states. A v5
 // snapshot holds keys from the previous StateKey hash and fails closed
 // with ErrCheckpointDrift (see CheckpointVersion). Subjects with a path
@@ -280,7 +281,6 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 		opts:       opts,
 		maxCrashes: maxCrashes,
 		workers:    workers,
-		prepass:    workers > 1,
 		meter:      run.NewSharedMeter(ctx, opts.Budget),
 		graph:      graph,
 		stateBytes: machine.StateKeySize + stateKeyOverhead,
@@ -392,12 +392,11 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 
 	res.States = e.visited.Size()
 	res.Engine = &EngineStats{
-		Workers:      workers,
-		Steals:       e.steals.Load(),
-		Donated:      e.donated.Load(),
-		Parks:        e.parks.Load(),
-		BatchLookups: e.batchLookups.Load(),
-		Checkpoints:  e.snapshots.Load(),
+		Workers:     workers,
+		Steals:      e.steals.Load(),
+		Donated:     e.donated.Load(),
+		Parks:       e.parks.Load(),
+		Checkpoints: e.snapshots.Load(),
 	}
 	if e.violated {
 		res.Violation = true
@@ -503,8 +502,12 @@ func (e *wsEngine) next(w *wsWorker) (wsEntry, bool) {
 }
 
 // donate publishes the last pending element of frame f as a stealable
-// edge. Caller must have verified the frame has an element to spare.
-func (e *wsEngine) donate(w *wsWorker, f *wsFrame) {
+// edge, charging its step: every queued edge is charged, so snapshots
+// serialize the queue as charged frontier nodes and the consumer charges
+// nothing. Caller must have verified the frame has an element to spare.
+// A failed charge leaves the element on the frame and returns the limit
+// error.
+func (e *wsEngine) donate(w *wsWorker, f *wsFrame) error {
 	elem := f.elems[f.end-1]
 	sched := make(machine.Schedule, f.depth+1)
 	copy(sched, w.path[:f.depth])
@@ -513,19 +516,23 @@ func (e *wsEngine) donate(w *wsWorker, f *wsFrame) {
 	if elem.Crash {
 		nc++
 	}
-	ent := wsEntry{sched: sched, crashes: nc, donor: w.id, charged: f.keys != nil}
 	e.mu.Lock()
 	if e.stopped {
-		// The queue is final-snapshot material now; keep the element on
-		// our own stack, which the exit path serializes.
+		// The queue is final-snapshot material now; keep the element,
+		// uncharged, on our own stack, which the exit path serializes.
 		e.mu.Unlock()
-		return
+		return nil
+	}
+	if err := e.meter.AddStep(); err != nil {
+		e.mu.Unlock()
+		return err
 	}
 	f.end--
-	e.queue = append(e.queue, ent)
+	e.queue = append(e.queue, wsEntry{sched: sched, crashes: nc, donor: w.id})
 	e.mu.Unlock()
 	e.donated.Add(1)
 	e.cond.Signal()
+	return nil
 }
 
 // requestSnapshot flags a checkpoint barrier when enough fresh states have
@@ -731,8 +738,8 @@ func (w *wsWorker) abortWith(err error) error {
 	return err
 }
 
-// pushFrame appends a fresh direct-flavor frame (keys == nil) at the
-// current depth, recycling the slot's element and key storage.
+// pushFrame appends an empty frame at the current depth, recycling the
+// slot's element storage.
 func (w *wsWorker) pushFrame(crashes int) *wsFrame {
 	n := len(w.frames)
 	if cap(w.frames) > n {
@@ -741,7 +748,7 @@ func (w *wsWorker) pushFrame(crashes int) *wsFrame {
 		w.frames = append(w.frames, wsFrame{})
 	}
 	f := &w.frames[n]
-	*f = wsFrame{elems: f.elems[:0], keyBuf: f.keyBuf, crashes: crashes, depth: len(w.path)}
+	*f = wsFrame{elems: f.elems[:0], crashes: crashes, depth: len(w.path)}
 	return f
 }
 
@@ -780,8 +787,8 @@ func (w *wsWorker) runEntry(ent wsEntry) error {
 
 // materialize replays the entry's schedule under the worker's undo trail
 // and installs its pending work: for an edge entry the final element is
-// stepped (charging its step unless the donor already did) and the target
-// visited; for a stack entry the serialized frames are adopted.
+// stepped (its step is already charged) and the target visited; for a
+// stack entry the serialized frames are adopted, uncharged.
 func (w *wsWorker) materialize(ent wsEntry) error {
 	e := w.e
 	replay := ent.sched
@@ -827,21 +834,15 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 		return nil
 	}
 	if hasFinal {
-		if !ent.charged {
-			if err := e.meter.AddStep(); err != nil {
-				return w.abortWith(err)
-			}
-		}
 		rec, took, u, err := w.cfg.StepUndo(final)
 		if err != nil {
 			w.unwindAll()
 			return err
 		}
 		if !took {
-			// The donated element turned out disabled on this path — a
-			// donor race is impossible (the donor's configuration was
-			// bit-identical after replay), so this is a stale resume edge;
-			// treat as consumed.
+			// The element is disabled at the edge's source, as some
+			// enumerated elements are (a one-worker run charges and skips
+			// them at descent): the edge is consumed.
 			w.unwindAll()
 			return nil
 		}
@@ -854,7 +855,7 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 			crashes++
 		}
 	}
-	pushed, err := w.visit(crashes, mon, machine.StateKey{}, false)
+	pushed, err := w.visit(crashes, mon)
 	if err != nil {
 		if errors.Is(err, errStopped) {
 			return err
@@ -877,13 +878,11 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 // point — and the caller re-queues the edge for resume. A run with a graph
 // recorder checks no occupancy; instead the recorder is told about every
 // transition, into a fresh state or not.
-func (w *wsWorker) visit(crashes int, mon uint64, key machine.StateKey, haveKey bool) (pushed bool, err error) {
+func (w *wsWorker) visit(crashes int, mon uint64) (pushed bool, err error) {
 	e := w.e
-	if !haveKey {
-		key, err = w.kr.key(w.cfg, crashes, e.maxCrashes, mon)
-		if err != nil {
-			return false, err
-		}
+	key, err := w.kr.key(w.cfg, crashes, e.maxCrashes, mon)
+	if err != nil {
+		return false, err
 	}
 	fresh := e.visited.TryVisit(key)
 	if fresh {
@@ -911,7 +910,7 @@ func (w *wsWorker) visit(crashes int, mon uint64, key machine.StateKey, haveKey 
 	if !fresh {
 		return false, nil
 	}
-	return w.expand(crashes, mon, key)
+	return w.expand(crashes, mon)
 }
 
 // observe advances the subject's path monitor (if any) from state mon over
@@ -933,14 +932,9 @@ func (w *wsWorker) observe(mon uint64, el machine.Elem, rec machine.StepRecord) 
 
 // expand enumerates the current configuration's successors in the
 // canonical order (per process: ⊥, committable registers ascending, crash)
-// into a fresh frame. At Workers>1 the successors are pre-screened: every
-// element's step is charged up front (the same elements a one-worker run
-// charges), taken successors are keyed via a speculative step+revert, and
-// a single batched visited-set lookup drops the already-known majority
-// before they ever reach the stack — cutting both lock traffic and
-// redundant replay. At Workers=1 the frame stays lazy (keys == nil) and
-// charges happen at descent, in the reference walker's charge order.
-func (w *wsWorker) expand(crashes int, mon uint64, nodeKey machine.StateKey) (bool, error) {
+// into a fresh frame. Nothing is charged or stepped here: each successor
+// is charged when a worker descends into it or donates it.
+func (w *wsWorker) expand(crashes int, mon uint64) (bool, error) {
 	e := w.e
 	c := w.cfg
 	f := w.pushFrame(crashes)
@@ -950,8 +944,8 @@ func (w *wsWorker) expand(crashes int, mon uint64, nodeKey machine.StateKey) (bo
 		var err error
 		ample, err = w.tryAmple(f, crashes)
 		if err != nil {
-			// Terminal machine error: drop the frame (nothing charged yet)
-			// and let the engine fail.
+			// Terminal machine error: drop the frame and let the engine
+			// fail.
 			w.frames = w.frames[:len(w.frames)-1]
 			if w.donHint > len(w.frames) {
 				w.donHint = len(w.frames)
@@ -976,78 +970,6 @@ func (w *wsWorker) expand(crashes int, mon uint64, nodeKey machine.StateKey) (bo
 			}
 		}
 	}
-	if !e.prepass {
-		f.end = len(f.elems)
-		return true, nil
-	}
-
-	// Batched pre-pass. On a limit error the node's interning is rolled
-	// back too: its expansion was not completed, so it must be re-visited
-	// (and re-charged) by the resumed run. The path monitor sees every
-	// taken step here, before the visited filter can drop it.
-	bail := func(err error) (bool, error) {
-		// Drop only the frame pushed above — not popFrame, which would
-		// unwind the trail to the parent frame's depth and revert the
-		// caller-owned edge under explore's feet (every speculative
-		// pre-pass step was already reverted in place, so the trail is
-		// at this frame's depth).
-		w.frames = w.frames[:len(w.frames)-1]
-		if w.donHint > len(w.frames) {
-			w.donHint = len(w.frames)
-		}
-		e.visited.Remove(nodeKey)
-		return false, err
-	}
-	kept := 0
-	f.keys = f.keyBuf[:0]
-	for _, el := range f.elems {
-		if err := e.meter.AddStep(); err != nil {
-			return bail(err)
-		}
-		rec, took, u, err := c.StepUndo(el)
-		if err != nil {
-			return bail(err)
-		}
-		if !took {
-			continue
-		}
-		nm, err := w.observe(mon, el, rec)
-		if err != nil {
-			return false, err
-		}
-		nc := crashes
-		if el.Crash {
-			nc++
-		}
-		ck, kerr := w.kr.key(c, nc, e.maxCrashes, nm)
-		u.Revert()
-		if kerr != nil {
-			return bail(kerr)
-		}
-		f.elems[kept] = el
-		f.keys = append(f.keys, ck)
-		kept++
-	}
-	f.keyBuf = f.keys
-	f.elems = f.elems[:kept]
-	if kept > 0 {
-		if cap(w.fresh) < kept {
-			w.fresh = make([]bool, kept*2)
-		}
-		seen := w.fresh[:kept]
-		e.visited.HasBatch(f.keys, seen)
-		e.batchLookups.Add(1)
-		j := 0
-		for i := 0; i < kept; i++ {
-			if seen[i] {
-				continue
-			}
-			f.elems[j], f.keys[j] = f.elems[i], f.keys[i]
-			j++
-		}
-		f.elems = f.elems[:j]
-		f.keys = f.keys[:j]
-	}
 	f.end = len(f.elems)
 	return true, nil
 }
@@ -1057,10 +979,9 @@ func (w *wsWorker) expand(crashes int, mon uint64, nodeKey machine.StateKey) (bo
 // buffer poised at a buffered write, fence or return touches only its own
 // state, and the static cycle proviso is already in ampleCandidate). On
 // success the frame is pre-populated with just that process's transitions
-// and true is returned; the caller then runs the normal charge and
-// pre-filter machinery over them. Every ample element must take and must
-// not move the ample process into the critical section (invisibility).
-// Probe steps are speculative — reverted, not metered — and none of the
+// and true is returned; they are charged and visited like any other
+// successors. Every ample element must take and must not move the ample
+// process into the critical section (invisibility). Probe steps are speculative — reverted, not metered — and none of the
 // ample operation kinds touches the passage log, so RME watermarks see no
 // phantom records.
 func (w *wsWorker) tryAmple(f *wsFrame, crashes int) (bool, error) {
@@ -1109,22 +1030,20 @@ func (w *wsWorker) explore() error {
 			continue
 		}
 		if e.idleCount.Load() > 0 {
-			w.maybeDonate()
+			if err := w.maybeDonate(); err != nil {
+				return err
+			}
 			f = &w.frames[len(w.frames)-1]
 			if f.next >= f.end {
 				w.popFrame()
 				continue
 			}
 		}
-		i := f.next
-		f.next++
-		el := f.elems[i]
-		if f.keys == nil {
-			if err := e.meter.AddStep(); err != nil {
-				f.next--
-				return err
-			}
+		if err := e.meter.AddStep(); err != nil {
+			return err
 		}
+		el := f.elems[f.next]
+		f.next++
 		rec, took, u, err := w.cfg.StepUndo(el)
 		if err != nil {
 			return err
@@ -1142,18 +1061,13 @@ func (w *wsWorker) explore() error {
 		if el.Crash {
 			nc++
 		}
-		var key machine.StateKey
-		haveKey := false
-		if f.keys != nil {
-			key, haveKey = f.keys[i], true
-		}
-		pushed, verr := w.visit(nc, mon, key, haveKey)
+		pushed, verr := w.visit(nc, mon)
 		if verr != nil {
 			if !errors.Is(verr, errStopped) {
 				// Rewind the edge so it stays pending: the snapshot then
-				// parks the exact trip point. visit/expand already rolled
-				// back anything below it; the frame slice may have been
-				// reallocated by the push, so re-take the top pointer.
+				// parks the exact trip point. visit already rolled back its
+				// interning; the frame slice may have been reallocated by a
+				// push, so re-take the top pointer.
 				last := len(w.trail) - 1
 				w.trail[last].Revert()
 				w.trail = w.trail[:last]
@@ -1175,7 +1089,7 @@ func (w *wsWorker) explore() error {
 // maybeDonate publishes the shallowest stealable edge when peers are idle.
 // Donating from the bottom of the stack hands thieves the largest
 // subtrees, which keeps steal traffic logarithmic in practice.
-func (w *wsWorker) maybeDonate() {
+func (w *wsWorker) maybeDonate() error {
 	for i := w.donHint; i < len(w.frames); i++ {
 		f := &w.frames[i]
 		avail := f.end - f.next
@@ -1188,9 +1102,9 @@ func (w *wsWorker) maybeDonate() {
 		if i == len(w.frames)-1 && avail < 2 {
 			// Keep the top frame's last element for ourselves: donating it
 			// would leave this worker re-queueing for its own work.
-			return
+			return nil
 		}
-		w.e.donate(w, f)
-		return
+		return w.e.donate(w, f)
 	}
+	return nil
 }

@@ -2,6 +2,7 @@ package check
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
@@ -425,9 +426,6 @@ func TestParallelStealsAndStaysExact(t *testing.T) {
 	if es.Donated == 0 {
 		t.Fatalf("4 workers on %d states never donated: %+v", seq.States, es)
 	}
-	if es.BatchLookups == 0 {
-		t.Fatal("multi-worker runs must use the batched visited pre-filter")
-	}
 }
 
 // Donation/steal traffic under concurrent kill pressure must not corrupt
@@ -456,49 +454,64 @@ func TestParallelKillDuringStealRace(t *testing.T) {
 	}
 }
 
-// TestPrepassExpandAllocatesNothing: once a worker's frame slot, key
-// storage and the configuration's spare snapshots are warm, a Workers>1
-// pre-pass expansion — speculative StepUndo of every successor (crashes
-// included), keying, Revert, and the batched visited-set filter —
-// allocates nothing.
-func TestPrepassExpandAllocatesNothing(t *testing.T) {
+// TestStepTotalsExact: every complete bakery n=3/PSO proof charges the
+// same step total, at any worker count and across a kill and resume. Each
+// successor is charged once, at descent or when it is donated, and a
+// snapshot's stacks hold only uncharged successors. The total is pinned
+// through the steps budget: a budget of exactly the total completes, one
+// step less trips.
+func TestStepTotalsExact(t *testing.T) {
+	const states, steps = 77594, 249667
 	s, err := NewMutexSubject("bakery", locks.NewBakery, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := s.Build(machine.PSO)
+	budget := func(workers int, maxSteps int64) Opts {
+		return Opts{Workers: workers, Budget: run.Budget{MaxSteps: maxSteps}}
+	}
+	requireProof := func(what string, res Result, err error) {
+		t.Helper()
+		if err != nil || !res.Complete || res.Violation || res.States != states {
+			t.Fatalf("%s: complete=%v violation=%v states=%d err=%v, want a %d-state proof",
+				what, res.Complete, res.Violation, res.States, err, states)
+		}
+	}
+	requireStepTrip := func(what string, err error) {
+		t.Helper()
+		var be *run.BudgetError
+		if !errors.As(err, &be) || be.Resource != "steps" {
+			t.Fatalf("%s: want a steps BudgetError, got %v", what, err)
+		}
+	}
+	for _, w := range []int{1, 2, 4} {
+		res, err := s.ExhaustiveParallel(bg(), machine.PSO, budget(w, steps))
+		requireProof(fmt.Sprintf("workers=%d", w), res, err)
+		_, err = s.ExhaustiveParallel(bg(), machine.PSO, budget(w, steps-1))
+		requireStepTrip(fmt.Sprintf("workers=%d, one step short", w), err)
+	}
+
+	path := filepath.Join(t.TempDir(), "ck.json")
+	kill := func(gen, worker int) error {
+		if gen >= 2 {
+			return errors.New("chaos: worker killed")
+		}
+		return nil
+	}
+	_, err = s.ExhaustiveParallel(bg(), machine.PSO, Opts{Workers: 2, WorkerFault: kill,
+		Checkpoint: &CheckpointPolicy{Path: path, EveryStates: 2000}})
+	var we *WorkerError
+	if !errors.As(err, &we) || we.Level < 2 {
+		t.Fatalf("want a kill at generation >= 2, got %v", err)
+	}
+	ck, err := ReadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Walk in until every process has a buffered write to commit, so the
-	// node has commit, program and crash successors.
-	for _, el := range []machine.Elem{machine.PBottom(0), machine.PBottom(1), machine.PBottom(2)} {
-		if _, took, err := cfg.Step(el); err != nil || !took {
-			t.Fatalf("step %v: took=%v err=%v", el, took, err)
-		}
+	res, err := s.ResumeExhaustiveParallel(bg(), machine.PSO, ck, budget(2, steps))
+	requireProof("resumed at workers=2", res, err)
+	if res.ResumedLevel < 2 {
+		t.Fatalf("resumed from generation %d, want >= 2", res.ResumedLevel)
 	}
-	for p := 0; p < cfg.N(); p++ {
-		if cfg.BufferLen(p) == 0 {
-			t.Fatalf("setup: p%d has an empty buffer", p)
-		}
-	}
-	e := &wsEngine{
-		s: s, model: machine.PSO, maxCrashes: 1, workers: 2, prepass: true,
-		meter:   run.NewSharedMeter(bg(), run.Budget{}),
-		visited: machine.NewVisitedSet(),
-	}
-	w := &wsWorker{e: e, cfg: cfg, kr: s.newKeyer(Opts{})}
-	expand := func() {
-		if pushed, err := w.expand(0, 0, machine.StateKey{}); err != nil || !pushed {
-			t.Fatalf("expand: pushed=%v err=%v", pushed, err)
-		}
-		if f := w.frames[0]; len(f.keys) != len(f.elems) || len(f.elems) < 2*cfg.N() {
-			t.Fatalf("expand kept %d successors with %d keys", len(f.elems), len(f.keys))
-		}
-		w.frames = w.frames[:0]
-	}
-	expand()
-	if n := testing.AllocsPerRun(100, expand); n != 0 {
-		t.Fatalf("warm pre-pass expansion: %.1f allocations, want 0", n)
-	}
+	_, err = s.ResumeExhaustiveParallel(bg(), machine.PSO, ck, budget(2, steps-1))
+	requireStepTrip("resumed at workers=2, one step short", err)
 }

@@ -1,8 +1,12 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -17,9 +21,9 @@ func keyN(shard, n int) StateKey {
 	return k
 }
 
-// TestVisitedShardFillsCacheLine: each shard (mutex, map pointer,
-// padding) is exactly one 64-byte cache line, so neighbouring shards'
-// mutexes never share one.
+// TestVisitedShardFillsCacheLine: each shard (mutex, table, count, zero
+// flag, padding) is exactly one 64-byte cache line, so neighbouring
+// shards' mutexes never share one.
 func TestVisitedShardFillsCacheLine(t *testing.T) {
 	if n := unsafe.Sizeof(visitedShard{}); n != 64 {
 		t.Fatalf("visitedShard is %d bytes, want 64", n)
@@ -55,85 +59,13 @@ func TestVisitedTryVisitHasRemove(t *testing.T) {
 	}
 }
 
-func TestVisitedBatchMatchesScalar(t *testing.T) {
-	v := NewVisitedSet()
-	// Keys spread across shards, with some pre-inserted via the scalar path.
-	keys := make([]StateKey, 0, 40)
-	for i := 0; i < 40; i++ {
-		keys = append(keys, keyN(i*5, i))
-	}
-	for i := 0; i < 40; i += 3 {
-		v.TryVisit(keys[i])
-	}
-	present := make([]bool, len(keys))
-	v.HasBatch(keys, present)
-	for i := range keys {
-		if present[i] != (i%3 == 0) {
-			t.Fatalf("HasBatch[%d] = %v, want %v", i, present[i], i%3 == 0)
-		}
-	}
-	fresh := make([]bool, len(keys))
-	inserted := v.TryVisitBatch(keys, fresh)
-	wantInserted := 0
-	for i := range keys {
-		wantFresh := i%3 != 0
-		if fresh[i] != wantFresh {
-			t.Fatalf("TryVisitBatch fresh[%d] = %v, want %v", i, fresh[i], wantFresh)
-		}
-		if wantFresh {
-			wantInserted++
-		}
-	}
-	if inserted != wantInserted {
-		t.Fatalf("TryVisitBatch inserted %d, want %d", inserted, wantInserted)
-	}
-	if v.Size() != len(keys) {
-		t.Fatalf("Size = %d, want %d", v.Size(), len(keys))
-	}
-	// Everything is now present; a second batch insert is a full dup.
-	if n := v.TryVisitBatch(keys, fresh); n != 0 {
-		t.Fatalf("re-batch inserted %d keys", n)
-	}
-	for i := range keys {
-		if fresh[i] {
-			t.Fatalf("re-batch reported key %d fresh", i)
-		}
-	}
-}
-
-func TestVisitedBatchDuplicatesWithinBatch(t *testing.T) {
-	v := NewVisitedSet()
-	k := keyN(3, 9)
-	keys := []StateKey{k, keyN(4, 1), k}
-	fresh := make([]bool, len(keys))
-	if n := v.TryVisitBatch(keys, fresh); n != 2 {
-		t.Fatalf("inserted %d, want 2 (duplicate collapses)", n)
-	}
-	// The first occurrence interns; the second sees it already present.
-	if !fresh[0] || !fresh[1] || fresh[2] {
-		t.Fatalf("fresh = %v, want [true true false]", fresh)
-	}
-	if v.Size() != 2 {
-		t.Fatalf("Size = %d, want 2", v.Size())
-	}
-}
-
 // Dump is the checkpoint serialization: shard-major, keys hex-sorted
-// within a shard, and independent of insertion order or which code path
-// (scalar vs batch) interned each key.
+// within a shard, and independent of insertion order.
 func TestVisitedDumpDeterministic(t *testing.T) {
-	build := func(perm []int, batch bool) *VisitedSet {
+	build := func(perm []int) *VisitedSet {
 		v := NewVisitedSet()
-		keys := make([]StateKey, 0, len(perm))
 		for _, i := range perm {
-			keys = append(keys, keyN(i*11, i))
-		}
-		if batch {
-			v.TryVisitBatch(keys, make([]bool, len(keys)))
-		} else {
-			for _, k := range keys {
-				v.TryVisit(k)
-			}
+			v.TryVisit(keyN(i*11, i))
 		}
 		return v
 	}
@@ -142,13 +74,13 @@ func TestVisitedDumpDeterministic(t *testing.T) {
 		fwd[i] = i
 		rev[i] = len(rev) - 1 - i
 	}
-	a := build(fwd, false).Dump()
-	b := build(rev, true).Dump()
+	a := build(fwd).Dump()
+	b := build(rev).Dump()
 	if len(a) != VisitedShards || len(b) != VisitedShards {
 		t.Fatalf("dump shard counts: %d, %d", len(a), len(b))
 	}
 	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatal("Dump depends on insertion order or code path")
+		t.Fatal("Dump depends on insertion order")
 	}
 	total := 0
 	for si, shard := range a {
@@ -164,9 +96,9 @@ func TestVisitedDumpDeterministic(t *testing.T) {
 	}
 }
 
-// Hammer one set from many goroutines mixing scalar and batch paths:
-// every key must be interned exactly once in total (the race detector
-// covers the locking; this covers the count).
+// Hammer one set from many goroutines, each attempting the full key set
+// from a different offset: every key must be interned exactly once in
+// total (the race detector covers the locking; this covers the count).
 func TestVisitedConcurrentExactCount(t *testing.T) {
 	v := NewVisitedSet()
 	const goroutines, perG = 8, 400
@@ -175,35 +107,107 @@ func TestVisitedConcurrentExactCount(t *testing.T) {
 		keys[i] = keyN(i, i)
 	}
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	claimed := 0
+	var claimed atomic.Int64
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			mine := 0
-			// Every goroutine attempts the full key set, offset so the
-			// contention pattern differs per goroutine; half use batches.
-			if g%2 == 0 {
-				fresh := make([]bool, len(keys))
-				mine = v.TryVisitBatch(keys, fresh)
-			} else {
-				for i := range keys {
-					if v.TryVisit(keys[(i+g*perG)%len(keys)]) {
-						mine++
-					}
+			for i := range keys {
+				if v.TryVisit(keys[(i+g*perG)%len(keys)]) {
+					claimed.Add(1)
 				}
 			}
-			mu.Lock()
-			claimed += mine
-			mu.Unlock()
 		}(g)
 	}
 	wg.Wait()
-	if claimed != len(keys) {
-		t.Fatalf("goroutines claimed %d insertions, want %d", claimed, len(keys))
+	if claimed.Load() != int64(len(keys)) {
+		t.Fatalf("goroutines claimed %d insertions, want %d", claimed.Load(), len(keys))
 	}
 	if v.Size() != len(keys) {
 		t.Fatalf("Size = %d, want %d", v.Size(), len(keys))
+	}
+	for _, k := range keys {
+		if !v.Has(k) {
+			t.Fatalf("interned key %v missing", k)
+		}
+	}
+}
+
+// TestVisitedMatchesMapReference drives one shard's table through random
+// TryVisit/Has/Remove sequences against a Go map. Most keys share one
+// home slot at every table size (their two words are equal, so the probe
+// hash is 0), which makes one long probe chain that removals cut in the
+// middle; the rest land anywhere, so chains also hold keys whose home
+// lies past a hole, which backward shifting must not move. The all-zero
+// key is in the pool. The live key count crosses 3/4 load of the 64-slot
+// and the 128-slot table.
+func TestVisitedMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var pool []StateKey
+	pool = append(pool, StateKey{})
+	for len(pool) < 200 {
+		var k StateKey
+		w0 := rng.Uint64() &^ 0xff // key[0] = 0: shard 0, like the zero key
+		w1 := w0
+		if len(pool) > 150 {
+			w1 = rng.Uint64()
+		}
+		binary.LittleEndian.PutUint64(k[:8], w0)
+		binary.LittleEndian.PutUint64(k[8:], w1)
+		if k == (StateKey{}) {
+			continue
+		}
+		if len(pool) <= 150 && homeSlot(k, visitedShardSlots) != 0 {
+			t.Fatalf("key %v: equal words must probe from slot 0", k)
+		}
+		pool = append(pool, k)
+	}
+	v := NewVisitedSet()
+	ref := map[StateKey]struct{}{}
+	sh := &v.shards[0]
+	grew := map[int]bool{}
+	for op := 0; op < 20000; op++ {
+		k := pool[rng.Intn(len(pool))]
+		_, had := ref[k]
+		switch r := rng.Intn(10); {
+		case r < 5:
+			if got := v.TryVisit(k); got == had {
+				t.Fatalf("op %d: TryVisit(%v) = %v with the key present=%v", op, k, got, had)
+			}
+			ref[k] = struct{}{}
+		case r < 8:
+			v.Remove(k)
+			delete(ref, k)
+		default:
+			if got := v.Has(k); got != had {
+				t.Fatalf("op %d: Has(%v) = %v, want %v", op, k, got, had)
+			}
+		}
+		grew[len(sh.slots)] = true
+		if v.Size() != len(ref) {
+			t.Fatalf("op %d: Size = %d, reference holds %d", op, v.Size(), len(ref))
+		}
+		if 4*sh.used > 3*len(sh.slots) {
+			t.Fatalf("op %d: %d keys in %d slots exceed 3/4 load", op, sh.used, len(sh.slots))
+		}
+		if op%50 == 0 {
+			for _, p := range pool {
+				if _, in := ref[p]; v.Has(p) != in {
+					t.Fatalf("op %d: Has(%v) = %v, reference %v", op, p, !in, in)
+				}
+			}
+			want := make([]string, 0, len(ref))
+			for r := range ref {
+				want = append(want, r.String())
+			}
+			sort.Strings(want)
+			got := v.Dump()
+			if fmt.Sprint(got[0]) != fmt.Sprint(want) {
+				t.Fatalf("op %d: shard 0 dumps %v, want %v", op, got[0], want)
+			}
+		}
+	}
+	if !grew[4*visitedShardSlots] {
+		t.Fatalf("table sizes seen %v: the run never grew past 3/4 load twice", grew)
 	}
 }

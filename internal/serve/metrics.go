@@ -34,11 +34,10 @@ type Metrics struct {
 
 	// Work-stealing engine counters, aggregated across attempts: whether
 	// exploration is scaling (steals) or contending (parks).
-	EngineSteals       atomic.Int64
-	EngineDonated      atomic.Int64
-	EngineParks        atomic.Int64
-	EngineBatchLookups atomic.Int64
-	EngineCheckpoints  atomic.Int64
+	EngineSteals      atomic.Int64
+	EngineDonated     atomic.Int64
+	EngineParks       atomic.Int64
+	EngineCheckpoints atomic.Int64
 
 	// statesPerSec is the last completed job's throughput ×1000 (stored
 	// as an int for atomicity).
@@ -131,7 +130,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	writeMetric(w, "tfserve_engine_steals_total", "Frontier entries stolen across workers.", "counter", m.EngineSteals.Load())
 	writeMetric(w, "tfserve_engine_donated_total", "Frontier entries donated to the steal queue.", "counter", m.EngineDonated.Load())
 	writeMetric(w, "tfserve_engine_parks_total", "Times a worker parked waiting for stealable work.", "counter", m.EngineParks.Load())
-	writeMetric(w, "tfserve_engine_batch_lookups_total", "Batched visited-set pre-filters.", "counter", m.EngineBatchLookups.Load())
 	writeMetric(w, "tfserve_engine_checkpoints_total", "Checkpoint snapshots written by explorations.", "counter", m.EngineCheckpoints.Load())
 	writeMetric(w, "tfserve_states_per_second", "Last completed job's exploration throughput.", "gauge",
 		fmt.Sprintf("%.3f", float64(m.statesPerSecMilli.Load())/1000))

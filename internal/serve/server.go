@@ -289,7 +289,6 @@ func (s *Server) runJob(j *Job) {
 		s.metrics.EngineSteals.Add(a.Steals)
 		s.metrics.EngineDonated.Add(a.Donated)
 		s.metrics.EngineParks.Add(a.Parks)
-		s.metrics.EngineBatchLookups.Add(a.BatchLookups)
 		s.metrics.EngineCheckpoints.Add(a.Checkpoints)
 		s.decision("attempt", map[string]any{
 			"job": j.ID, "index": a.Index, "workers": a.Workers,

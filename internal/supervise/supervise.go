@@ -150,15 +150,14 @@ type Attempt struct {
 	// (0 = fresh start); VisitedReused whether its visited set certified.
 	ResumedLevel  int  `json:"resumed_level"`
 	VisitedReused bool `json:"visited_reused,omitempty"`
-	// Steals, Donated, Parks, BatchLookups and Checkpoints mirror the
-	// work-stealing engine's counters for this attempt
-	// (check.EngineStats): whether exploration scaled or starved, and how
-	// many snapshots the attempt wrote.
-	Steals       int64 `json:"steals,omitempty"`
-	Donated      int64 `json:"donated,omitempty"`
-	Parks        int64 `json:"parks,omitempty"`
-	BatchLookups int64 `json:"batch_lookups,omitempty"`
-	Checkpoints  int64 `json:"checkpoints,omitempty"`
+	// Steals, Donated, Parks and Checkpoints mirror the work-stealing
+	// engine's counters for this attempt (check.EngineStats): whether
+	// exploration scaled or starved, and how many snapshots the attempt
+	// wrote.
+	Steals      int64 `json:"steals,omitempty"`
+	Donated     int64 `json:"donated,omitempty"`
+	Parks       int64 `json:"parks,omitempty"`
+	Checkpoints int64 `json:"checkpoints,omitempty"`
 	// CheckpointRejected records why a snapshot was discarded before this
 	// attempt ("" = none rejected): corrupted bytes, identity drift, etc.
 	CheckpointRejected string `json:"checkpoint_rejected,omitempty"`
@@ -372,7 +371,6 @@ func CheckMutex(ctx context.Context, subject *check.Subject, model machine.Model
 			rep.Steals = es.Steals
 			rep.Donated = es.Donated
 			rep.Parks = es.Parks
-			rep.BatchLookups = es.BatchLookups
 			rep.Checkpoints = es.Checkpoints
 		}
 		if err != nil {
