@@ -230,13 +230,14 @@ func fillPassages(res *Result, log *machine.PassageLog) {
 // 16/(3/8) ≈ 43 bytes per key and the charge bounds it from above.
 const stateKeyOverhead = 48
 
-// keyer computes visited-set keys: a canonical binary state encoding into
-// a reusable scratch buffer, the spent crash budget and any path-monitor
-// state folded in, hashed to a fixed 128-bit key. One keyer per worker
-// goroutine; a keyer is not safe for concurrent use.
+// keyer computes visited-set keys: the configuration's component-sum
+// StateKey with the spent crash budget and any path-monitor state folded
+// in as two more components. Under symmetry reduction it instead hashes
+// the orbit-canonical encoding, with the same run state appended, from a
+// reusable scratch buffer. One keyer per worker goroutine; a keyer is not
+// safe for concurrent use.
 type keyer struct {
 	buf       []byte
-	enc       machine.KeyEncoder
 	sym       *machine.SymmetrySpec
 	wantSym   bool
 	monitored bool
@@ -251,33 +252,52 @@ func (s *Subject) newKeyer(opts Opts) *keyer {
 func (k *keyer) reduces() bool { return k.wantSym }
 
 func (k *keyer) key(c *machine.Config, crashes, maxCrashes int, mon uint64) (machine.StateKey, error) {
-	k.buf = k.buf[:0]
-	var err error
 	if k.wantSym {
-		if k.cz == nil {
-			k.cz = machine.NewCanonicalizer(c.Layout(), c.N(), k.sym)
-		}
-		k.buf, err = k.cz.AppendCanonicalStateBytes(c, k.buf)
-	} else {
-		k.buf, err = k.enc.AppendStateBytes(c, k.buf)
+		return k.symKey(c, crashes, maxCrashes, mon)
 	}
+	key, err := c.StateKey()
 	if err != nil {
 		return machine.StateKey{}, err
 	}
+	// Identical machine states with different remaining crash budgets have
+	// different futures, and the monitor state decides which later steps
+	// violate, so both are part of the state; unmonitored and crash-free
+	// runs leave them out.
 	if maxCrashes > 0 {
-		// Identical machine states with different remaining crash budgets
-		// have different futures; fold the spent count into the key to
-		// keep pruning sound.
-		k.buf = binary.AppendUvarint(k.buf, uint64(crashes))
+		key = key.Fold(machine.KeyTagCrashes, uint64(crashes))
 	}
 	if k.monitored {
-		// The monitor state decides which later steps violate, so it is
-		// part of the state. Eight fixed-width bytes after the
-		// self-delimiting machine bytes keep the encoding injective;
-		// unmonitored subjects key exactly as before.
-		k.buf = binary.LittleEndian.AppendUint64(k.buf, mon)
+		key = key.Fold(machine.KeyTagMonitor, mon)
 	}
+	return key, nil
+}
+
+// symKey hashes the orbit-canonical state bytes with the run state
+// appended (appendRunState).
+func (k *keyer) symKey(c *machine.Config, crashes, maxCrashes int, mon uint64) (machine.StateKey, error) {
+	if k.cz == nil {
+		k.cz = machine.NewCanonicalizer(c.Layout(), c.N(), k.sym)
+	}
+	var err error
+	k.buf, err = k.cz.AppendCanonicalStateBytes(c, k.buf[:0])
+	if err != nil {
+		return machine.StateKey{}, err
+	}
+	k.buf = k.appendRunState(k.buf, crashes, maxCrashes, mon)
 	return machine.HashStateKey(k.buf), nil
+}
+
+// appendRunState appends the spent crash count (when the run has a crash
+// budget) and the monitor state (when monitored) to self-delimiting state
+// bytes: eight fixed-width monitor bytes last keep the encoding injective.
+func (k *keyer) appendRunState(buf []byte, crashes, maxCrashes int, mon uint64) []byte {
+	if maxCrashes > 0 {
+		buf = binary.AppendUvarint(buf, uint64(crashes))
+	}
+	if k.monitored {
+		buf = binary.LittleEndian.AppendUint64(buf, mon)
+	}
+	return buf
 }
 
 // Exhaustive explores every schedule of the subject under the given model,

@@ -35,8 +35,12 @@ import (
 // fail closed with ErrCheckpointDrift. Version 6 adds no field: the
 // StateKey hash changed from byte-wise FNV-1a to MurmurHash3 x64_128
 // while the key bytes (codec 1) stayed the same, so a v5 snapshot's
-// visited shards and root key hold values no current run mints.
-const CheckpointVersion = 6
+// visited shards and root key hold values no current run mints. Version 7
+// adds no field either: an unreduced StateKey became the sum of its
+// components' hashes instead of the hash of the whole encoding (see
+// machine.Config.StateKey), over the same fields (codec 1), so a v6
+// snapshot's shards and root key again hold values no current run mints.
+const CheckpointVersion = 7
 
 // EngineWSDFS names the work-stealing undo-log DFS engine inside
 // checkpoint snapshots. It is the only engine the current decoder

@@ -3,6 +3,7 @@ package check
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,12 +101,13 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestCheckpointV5FailsClosed: a well-formed v5 snapshot — canonical
-// bytes, valid CRC — holds keys hashed with FNV-1a, which no current run
-// mints, so decoding it must fail closed as drift, not resume.
-func TestCheckpointV5FailsClosed(t *testing.T) {
+// requireOldVersionFailsClosed: a well-formed snapshot of an earlier
+// schema version — canonical bytes, valid CRC — must fail closed as drift
+// on its version, not resume.
+func requireOldVersionFailsClosed(t *testing.T, version int) {
+	t.Helper()
 	ck := sampleCheckpoint()
-	ck.Version = 5
+	ck.Version = version
 	sum, err := ck.checksum()
 	if err != nil {
 		t.Fatal(err)
@@ -116,10 +118,19 @@ func TestCheckpointV5FailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = DecodeCheckpoint(append(data, '\n'))
-	if !errors.Is(err, ErrCheckpointDrift) || !strings.Contains(err.Error(), "version 5") {
-		t.Fatalf("v5 snapshot: got %v, want ErrCheckpointDrift on its version", err)
+	if !errors.Is(err, ErrCheckpointDrift) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+		t.Fatalf("v%d snapshot: got %v, want ErrCheckpointDrift on its version", version, err)
 	}
 }
+
+// TestCheckpointV5FailsClosed: a v5 snapshot holds keys hashed with
+// FNV-1a, which no current run mints.
+func TestCheckpointV5FailsClosed(t *testing.T) { requireOldVersionFailsClosed(t, 5) }
+
+// TestCheckpointV6FailsClosed: a v6 snapshot holds keys that hash each
+// state's whole encoding, where current runs sum component hashes, so no
+// current run mints them either.
+func TestCheckpointV6FailsClosed(t *testing.T) { requireOldVersionFailsClosed(t, 6) }
 
 func TestCheckpointValidation(t *testing.T) {
 	mut := func(f func(*Checkpoint)) *Checkpoint {

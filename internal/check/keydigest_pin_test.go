@@ -11,7 +11,7 @@ import (
 // TestStateKeyDigestPinned pins the visited-set key bytes themselves, not
 // just the state counts they induce: a SHA-256 digest over the sorted key
 // bytes of every reachable configuration (check.KeyBytesDigest). The
-// StateKey codec version 1, checkpoint schema v6 and serve identity v4
+// StateKey codec version 1, checkpoint schema v7 and serve identity v4
 // all assume those bytes never drift, and a change to the encoding that
 // keeps the partition would pass every count-based test. The subjects cover the
 // three memory models, an orbit-canonical (symmetry-reduced) encoding,
@@ -84,7 +84,7 @@ func TestStateKeyDigestPinned(t *testing.T) {
 // vector (43 bytes) and five full blocks plus a tail (94 bytes, about one
 // bakery n=3 state).
 func TestStateKeyHashPinned(t *testing.T) {
-	if check.CheckpointVersion != 6 {
+	if check.CheckpointVersion != 7 {
 		t.Fatalf("CheckpointVersion = %d: re-pin these outputs with the version that certifies them", check.CheckpointVersion)
 	}
 	b94 := make([]byte, 94)
@@ -103,5 +103,93 @@ func TestStateKeyHashPinned(t *testing.T) {
 		if got := machine.HashStateKey(tc.in).String(); got != tc.want {
 			t.Errorf("HashStateKey(%d bytes) = %s, want %s", len(tc.in), got, tc.want)
 		}
+	}
+}
+
+// TestStateKeySumPinned pins the component-sum StateKey of a few fixed
+// configurations, beside the checkpoint schema version whose snapshots
+// store such keys: a change to a component's hash input, a tag, the
+// summation or the folding of the crash count and the monitor state mints
+// different keys from the same states, so it must come with a
+// CheckpointVersion bump (and new pins here). The configurations cover
+// the three models, buffered writes under both buffer disciplines,
+// reorder ages, a crash with its folded count, and a folded monitor
+// state.
+func TestStateKeySumPinned(t *testing.T) {
+	if check.CheckpointVersion != 7 {
+		t.Fatalf("CheckpointVersion = %d: re-pin these keys with the version that certifies them", check.CheckpointVersion)
+	}
+	gt2 := func(l *machine.Layout, nm string, n int) (*locks.Algorithm, error) {
+		return locks.NewGT(l, nm, n, 2)
+	}
+	mutex := func(name string, ctor locks.Constructor, n int) *check.Subject {
+		s, err := check.NewMutexSubject(name, ctor, n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name       string
+		s          *check.Subject
+		model      machine.Model
+		bound      int
+		sched      string
+		maxCrashes int
+		crashes    int
+		want       string
+	}{
+		{"bakery n=3/PSO root", mutex("bakery", locks.NewBakery, 3), machine.PSO, 0, "", 0, 0,
+			"1b68a3216ea8231d8fc180bc5bdc83b5"},
+		{"bakery n=3/PSO buffered", mutex("bakery", locks.NewBakery, 3), machine.PSO, 0, "p0 p0 p1 p0", 0, 0,
+			"99e5892c62c75c0ba1662f7fbd71d54d"},
+		{"GT_2 n=2/TSO/reorder-bound 1", mutex("gt2", gt2, 2), machine.TSO, 1, "p0 p1 p1", 0, 0,
+			"da9f3017e49169132fecf2eea4d271ae"},
+		{"tournament n=3/SC", mutex("tournament", locks.NewTournament, 3), machine.SC, 0, "p0 p1 p2 p0 p1", 0, 0,
+			"d3a9035c1529c95f810c4e832f55414e"},
+		{"rtas n=2/SC/1-crash", rmeSubject(t, "rtas", 2), machine.SC, 0, "p0 p0 p0! p1", 1, 1,
+			"190573994d2bce907c9d4cfc6eb097f9"},
+	} {
+		c, err := tc.s.Build(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetReorderBound(tc.bound)
+		sched, err := machine.ParseSchedule(tc.sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := c.Exec(sched); err != nil || n != len(sched) {
+			t.Fatalf("%s: %d of %d elements took: %v", tc.name, n, len(sched), err)
+		}
+		buffered := 0
+		for p := 0; p < c.N(); p++ {
+			buffered += c.BufferLen(p)
+		}
+		if tc.model != machine.SC && len(sched) > 0 && buffered == 0 {
+			t.Fatalf("%s: no buffered write to key", tc.name)
+		}
+		key, err := c.StateKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.maxCrashes > 0 {
+			key = key.Fold(machine.KeyTagCrashes, uint64(tc.crashes))
+		}
+		if got := key.String(); got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)
+		}
+	}
+	// A path monitor's state folds in as one more component.
+	c, err := mutex("bakery", locks.NewBakery, 2).Build(machine.PSO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := c.StateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := key.Fold(machine.KeyTagMonitor, 3).String(), "6fa2a1fe65de2e2b3b2fb6b76e4db332"; got != want {
+		t.Errorf("bakery n=2/PSO root, monitor state 3: key %s, want %s", got, want)
 	}
 }

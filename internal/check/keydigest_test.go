@@ -12,20 +12,33 @@ import (
 
 // keyBytesDigest walks every configuration the clone reference walker
 // reaches from the subject's root and returns the SHA-256 digest of their
-// distinct visited-set key bytes — the machine encoding (orbit-canonical
+// distinct reference key bytes — the machine encoding (orbit-canonical
 // under opts.Symmetry) plus the folded crash count — sorted and each
 // prefixed with its length, together with the number of distinct keys.
 // The walk must prove the subject, so the digest covers the whole
-// reachable state space.
+// reachable state space. The keyer sums component hashes and produces no
+// bytes on the unreduced path, so there the reference bytes are built
+// here: AppendStateBytes with the run state appended as symKey appends it.
 func keyBytesDigest(s *Subject, model machine.Model, opts Opts) (string, int, error) {
 	k := s.newKeyer(opts)
+	var enc machine.KeyEncoder
+	var buf []byte
 	seen := make(map[string]struct{}, 1024)
 	keyOf := func(c *machine.Config, crashes, maxCrashes int, mon uint64) (machine.StateKey, error) {
 		key, err := k.key(c, crashes, maxCrashes, mon)
-		if err == nil {
-			seen[string(k.buf)] = struct{}{}
+		if err != nil {
+			return key, err
 		}
-		return key, err
+		if k.reduces() {
+			buf = k.buf
+		} else {
+			if buf, err = enc.AppendStateBytes(c, buf[:0]); err != nil {
+				return key, err
+			}
+			buf = k.appendRunState(buf, crashes, maxCrashes, mon)
+		}
+		seen[string(buf)] = struct{}{}
+		return key, nil
 	}
 	res, err := cloneWalk(bg(), s, model, opts, keyOf)
 	if err != nil {

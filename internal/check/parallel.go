@@ -36,8 +36,8 @@
 // scheduling-dependent: which violation witness is found first, and where
 // a budget trips, may vary between runs. POR counts under symmetry keying
 // are left out of the exactness claim (see ExhaustiveParallel). Snapshots
-// taken by this engine are certified as an explicit mode in checkpoint
-// schema v4 (Checkpoint.Engine); level-sync v2 and v3 snapshots fail
+// name this engine (Checkpoint.Engine) and carry the current
+// CheckpointVersion; a snapshot of any other version or engine fails
 // closed with ErrCheckpointDrift.
 package check
 
@@ -173,6 +173,7 @@ type wsEngine struct {
 	stopFlag  atomic.Bool
 	ckWant    atomic.Bool
 	idleCount atomic.Int32
+	queued    atomic.Int32 // len(queue)
 	genFlag   atomic.Int64
 	sinceCk   atomic.Int64
 	threshold atomic.Int64
@@ -238,11 +239,12 @@ func (s *Subject) ExhaustiveParallel(ctx context.Context, model machine.Model, o
 // so opts.Budget spans the whole logical run; the wall clock restarts (see
 // run.SharedMeter.Preload). A barrier snapshot's frontier edges are
 // charged and its stacks' pending elements are not, so a complete resume
-// from it charges the fresh run's step total. A resumed POR run reduces exactly as a fresh
-// one does, so a complete resume visits the fresh run's states. A v5
-// snapshot holds keys from the previous StateKey hash and fails closed
-// with ErrCheckpointDrift (see CheckpointVersion). Subjects with a path
-// monitor never write snapshots, so they have nothing to resume.
+// from it charges the fresh run's step total. A resumed POR run reduces
+// exactly as a fresh one does, so a complete resume visits the fresh run's
+// states. A snapshot of an earlier version holds keys no current run
+// mints (v6 and older hashed whole encodings; see CheckpointVersion) and
+// fails closed with ErrCheckpointDrift. Subjects with a path monitor never
+// write snapshots, so they have nothing to resume.
 func (s *Subject) ResumeExhaustiveParallel(ctx context.Context, model machine.Model, ck *Checkpoint, opts Opts) (Result, error) {
 	if s.Monitor != nil {
 		return Result{}, errors.New("check: checking under a path monitor does not support snapshots; nothing to resume")
@@ -331,6 +333,7 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 	if rs != nil {
 		e.visited = rs.visited
 		e.queue = rs.entries
+		e.queued.Store(int32(len(e.queue)))
 		e.gen = rs.gen
 		e.genFlag.Store(int64(rs.gen))
 		e.meter.Preload(rs.steps, rs.states, rs.mem)
@@ -339,6 +342,7 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 	} else {
 		e.visited = machine.NewVisitedSet()
 		e.queue = []wsEntry{{donor: -1}}
+		e.queued.Store(1)
 		if s.Passages != nil {
 			e.plog = machine.NewPassageLog()
 		}
@@ -466,6 +470,7 @@ func (e *wsEngine) next(w *wsWorker) (wsEntry, bool) {
 		if !e.ckWant.Load() && len(e.queue) > 0 {
 			ent := e.queue[0]
 			e.queue = e.queue[1:]
+			e.queued.Store(int32(len(e.queue)))
 			if ent.donor >= 0 && ent.donor != w.id {
 				e.steals.Add(1)
 			}
@@ -504,11 +509,28 @@ func (e *wsEngine) next(w *wsWorker) (wsEntry, bool) {
 // donate publishes the last pending element of frame f as a stealable
 // edge, charging its step: every queued edge is charged, so snapshots
 // serialize the queue as charged frontier nodes and the consumer charges
-// nothing. Caller must have verified the frame has an element to spare.
-// A failed charge leaves the element on the frame and returns the limit
-// error.
+// nothing. It donates only while idle workers outnumber queued edges: a
+// woken thief stays counted idle until it takes its edge, and an edge
+// nobody is waiting for comes back to its donor, which replays it from
+// the root. Caller must have verified the frame has an element to spare.
+// A failed charge is refunded, leaves the element on the frame and
+// returns the limit error.
 func (e *wsEngine) donate(w *wsWorker, f *wsFrame) error {
-	elem := f.elems[f.end-1]
+	e.mu.Lock()
+	if e.stopped || e.idle <= len(e.queue) {
+		// Keep the element, uncharged, on our own stack: every idle worker
+		// already has an edge, or the engine stopped and the queue is
+		// final-snapshot material (the exit path serializes our stack).
+		e.mu.Unlock()
+		return nil
+	}
+	if err := e.meter.AddStep(); err != nil {
+		e.meter.Refund(1, 0, 0)
+		e.mu.Unlock()
+		return err
+	}
+	f.end--
+	elem := f.elems[f.end]
 	sched := make(machine.Schedule, f.depth+1)
 	copy(sched, w.path[:f.depth])
 	sched[f.depth] = elem
@@ -516,19 +538,8 @@ func (e *wsEngine) donate(w *wsWorker, f *wsFrame) error {
 	if elem.Crash {
 		nc++
 	}
-	e.mu.Lock()
-	if e.stopped {
-		// The queue is final-snapshot material now; keep the element,
-		// uncharged, on our own stack, which the exit path serializes.
-		e.mu.Unlock()
-		return nil
-	}
-	if err := e.meter.AddStep(); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	f.end--
 	e.queue = append(e.queue, wsEntry{sched: sched, crashes: nc, donor: w.id})
+	e.queued.Store(int32(len(e.queue)))
 	e.mu.Unlock()
 	e.donated.Add(1)
 	e.cond.Signal()
@@ -734,6 +745,7 @@ func (w *wsWorker) abortWith(err error) error {
 	e := w.e
 	e.mu.Lock()
 	e.queue = append(e.queue, w.entry)
+	e.queued.Store(int32(len(e.queue)))
 	e.mu.Unlock()
 	return err
 }
@@ -873,11 +885,12 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 
 // visit interns and expands the configuration the worker currently sits
 // at. Returns pushed=false when the state was already visited (the caller
-// backtracks its edge). On a limit error the interning is rolled back so
-// the interned count sits exactly at the budget cap — the one-worker trip
-// point — and the caller re-queues the edge for resume. A run with a graph
-// recorder checks no occupancy; instead the recorder is told about every
-// transition, into a fresh state or not.
+// backtracks its edge). On a limit error the interning and its charge are
+// rolled back, so the interned count sits exactly at the budget cap — the
+// one-worker trip point — and equals the charged count, and the caller
+// re-queues the edge for resume. A run with a graph recorder checks no
+// occupancy; instead the recorder is told about every transition, into a
+// fresh state or not.
 func (w *wsWorker) visit(crashes int, mon uint64) (pushed bool, err error) {
 	e := w.e
 	key, err := w.kr.key(w.cfg, crashes, e.maxCrashes, mon)
@@ -888,6 +901,7 @@ func (w *wsWorker) visit(crashes int, mon uint64) (pushed bool, err error) {
 	if fresh {
 		if err := e.meter.AddState(e.stateBytes); err != nil {
 			e.visited.Remove(key)
+			e.meter.Refund(0, 1, e.stateBytes)
 			return false, err
 		}
 		e.requestSnapshot()
@@ -1029,7 +1043,7 @@ func (w *wsWorker) explore() error {
 			w.popFrame()
 			continue
 		}
-		if e.idleCount.Load() > 0 {
+		if e.idleCount.Load() > e.queued.Load() {
 			if err := w.maybeDonate(); err != nil {
 				return err
 			}
@@ -1040,6 +1054,7 @@ func (w *wsWorker) explore() error {
 			}
 		}
 		if err := e.meter.AddStep(); err != nil {
+			e.meter.Refund(1, 0, 0)
 			return err
 		}
 		el := f.elems[f.next]
@@ -1064,15 +1079,18 @@ func (w *wsWorker) explore() error {
 		pushed, verr := w.visit(nc, mon)
 		if verr != nil {
 			if !errors.Is(verr, errStopped) {
-				// Rewind the edge so it stays pending: the snapshot then
-				// parks the exact trip point. visit already rolled back its
-				// interning; the frame slice may have been reallocated by a
-				// push, so re-take the top pointer.
+				// Rewind the edge so it stays pending and refund its step:
+				// the snapshot then parks the exact trip point, and the
+				// resumed run charges the edge when it descends into it.
+				// visit already rolled back its interning; the frame slice
+				// may have been reallocated by a push, so re-take the top
+				// pointer.
 				last := len(w.trail) - 1
 				w.trail[last].Revert()
 				w.trail = w.trail[:last]
 				w.path = w.path[:len(w.path)-1]
 				w.frames[len(w.frames)-1].next--
+				e.meter.Refund(1, 0, 0)
 			}
 			return verr
 		}
@@ -1086,9 +1104,10 @@ func (w *wsWorker) explore() error {
 	return nil
 }
 
-// maybeDonate publishes the shallowest stealable edge when peers are idle.
-// Donating from the bottom of the stack hands thieves the largest
-// subtrees, which keeps steal traffic logarithmic in practice.
+// maybeDonate publishes the shallowest stealable edge when more peers are
+// idle than edges are queued. Donating from the bottom of the stack hands
+// thieves the largest subtrees, which keeps steal traffic logarithmic in
+// practice.
 func (w *wsWorker) maybeDonate() error {
 	for i := w.donHint; i < len(w.frames); i++ {
 		f := &w.frames[i]

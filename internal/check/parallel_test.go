@@ -455,7 +455,8 @@ func TestParallelKillDuringStealRace(t *testing.T) {
 }
 
 // TestStepTotalsExact: every complete bakery n=3/PSO proof charges the
-// same step total, at any worker count and across a kill and resume. Each
+// same step total, at any worker count and across a kill or a budget trip
+// and a resume. Each
 // successor is charged once, at descent or when it is donated, and a
 // snapshot's stacks hold only uncharged successors. The total is pinned
 // through the steps budget: a budget of exactly the total completes, one
@@ -514,4 +515,42 @@ func TestStepTotalsExact(t *testing.T) {
 	}
 	_, err = s.ResumeExhaustiveParallel(bg(), machine.PSO, ck, budget(2, steps-1))
 	requireStepTrip("resumed at workers=2, one step short", err)
+
+	// A budget trip parks its exact trip point: the meter gives back every
+	// charge the engine rolls back (a failed charge, an interning undone,
+	// an edge re-queued), so the trip snapshot's States equals its shard
+	// keys, a steps trip's Steps stays within the cap, and the resume
+	// charges the fresh run's totals exactly.
+	for _, trip := range []run.Budget{{MaxSteps: 100_000}, {MaxStates: 30_000}} {
+		for _, w := range []int{1, 2, 4} {
+			what := fmt.Sprintf("%+v trip at workers=%d", trip, w)
+			path := filepath.Join(t.TempDir(), "trip.json")
+			_, err := s.ExhaustiveParallel(bg(), machine.PSO, Opts{Workers: w, Budget: trip,
+				Checkpoint: &CheckpointPolicy{Path: path, EveryStates: 1 << 30}})
+			if !run.IsLimit(err) {
+				t.Fatalf("%s: want a budget trip, got %v", what, err)
+			}
+			ck, err := ReadCheckpoint(path)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			keys := 0
+			for _, shard := range ck.Shards {
+				keys += len(shard)
+			}
+			if ck.States != int64(keys) {
+				t.Fatalf("%s: snapshot charges %d states for %d shard keys", what, ck.States, keys)
+			}
+			if trip.MaxSteps > 0 && ck.Steps > trip.MaxSteps {
+				t.Fatalf("%s: snapshot charges %d steps over the cap", what, ck.Steps)
+			}
+			if trip.MaxStates > 0 && ck.States > int64(trip.MaxStates) {
+				t.Fatalf("%s: snapshot charges %d states over the cap", what, ck.States)
+			}
+			res, err := s.ResumeExhaustiveParallel(bg(), machine.PSO, ck, budget(w, steps))
+			requireProof(what+", resumed", res, err)
+			_, err = s.ResumeExhaustiveParallel(bg(), machine.PSO, ck, budget(w, steps-1))
+			requireStepTrip(what+", resumed one step short", err)
+		}
+	}
 }

@@ -100,12 +100,14 @@ type ProcState struct {
 
 	err error
 
-	// key caches the unrenamed AppendStateKey bytes of the settled or
-	// halted state, valid iff keyOK. Every mutation of encoded state
-	// (advance, CompleteReturn) clears keyOK; CopyFrom carries the cache
-	// and Clone drops it.
-	key   []byte
-	keyOK bool
+	// key caches the settled or halted state's key component input —
+	// KeyTagProc, the PID as a uvarint, then the unrenamed AppendStateKey
+	// segment — and keyHash its hash; both are valid iff keyOK. Every
+	// mutation of encoded state (advance, CompleteReturn) clears keyOK;
+	// CopyFrom carries the cache and Clone drops it.
+	key     []byte
+	keyHash [2]uint64
+	keyOK   bool
 }
 
 // NewProcState returns the initial state of process pid (of n) executing
@@ -131,7 +133,7 @@ func (s *ProcState) reset(prog *Program, ci *codeIndex, pid, n int) {
 
 // Clone returns an independent deep copy of the state: two slice copies
 // (locals and control stack), no per-variable work. The copy carries no
-// cached key bytes, so its next AppendStateKey encodes afresh.
+// cached key, so its next AppendStateKey or KeyHash encodes afresh.
 func (s *ProcState) Clone() *ProcState {
 	c := *s
 	c.env.mem = append([]Value(nil), s.env.mem...)
@@ -140,7 +142,7 @@ func (s *ProcState) Clone() *ProcState {
 	return &c
 }
 
-// CopyFrom makes s an independent copy of src, cached key bytes included,
+// CopyFrom makes s an independent copy of src, cached key included,
 // reusing s's storage for the locals, the control stack and the cache:
 // once s has held a state of src's size, the copy allocates nothing. The
 // machine's rule-4 undo snapshot is a CopyFrom into recycled storage.

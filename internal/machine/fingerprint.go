@@ -16,9 +16,10 @@ import (
 // never influences control flow, so two configurations with equal
 // fingerprints generate identical execution trees.
 //
-// No production code keys on it: the binary StateKey (KeyEncoder) is the
-// one keying. Fingerprint is the tests' reference keying, an independent
-// string encoding whose state partition the binary codec must reproduce.
+// No production code keys on it: the binary StateKey (Config.StateKey) is
+// the one keying. Fingerprint is the tests' reference keying, an
+// independent string encoding whose state partition the binary key must
+// reproduce.
 //
 // All processes are settled (pending local computation executed) first, so
 // that fingerprints are insensitive to the interpreter's lazy evaluation.

@@ -86,10 +86,17 @@ type Config struct {
 	n     int
 	lay   *Layout
 
-	// mem[r] is shared memory (0 = the paper's ⊥, never committed).
+	// mem[r] is shared memory (0 = the paper's ⊥, never committed). Only
+	// setMem writes it.
 	mem   []Value
 	procs []*lang.ProcState
 	wbs   []writeBuffer
+
+	// memSum is the sum of the register components of the state key (see
+	// keysum.go), valid iff memSumOK; setMem keeps it current. Clone
+	// leaves it invalid, so a clone's first key sums memory afresh.
+	memSum   hash128
+	memSumOK bool
 
 	// cache[p*cacheStride+r] is the last value process p read from or
 	// wrote to r, valid iff the matching cacheKnown bit is set; a read
@@ -181,6 +188,7 @@ func NewConfig(model Model, lay *Layout, progs []*lang.Program) (*Config, error)
 		cacheKnown:    make([]bool, n*stride),
 		cacheStride:   stride,
 		lastCommitter: make([]int32, stride),
+		memSumOK:      true, // all registers hold 0
 		stats:         NewStats(n),
 	}
 	for i := range c.lastCommitter {
@@ -268,7 +276,9 @@ func (c *Config) lastCommitterOf(r Reg) (int, bool) {
 }
 
 // Clone returns an independent deep copy of the configuration (statistics
-// included, trace not: the clone starts with recording disabled).
+// included, trace not: the clone starts with recording disabled). The
+// copy carries none of the state key's caches, so its key is computed
+// from scratch.
 func (c *Config) Clone() *Config {
 	d := &Config{
 		model:         c.model,
@@ -333,7 +343,7 @@ func (c *Config) SetRegister(r Reg, v Value) {
 		return
 	}
 	c.ensureReg(r)
-	c.mem[r] = v
+	c.setMem(r, v)
 }
 
 // Proc returns process p's live interpreter state. It stays valid until
@@ -407,6 +417,10 @@ func (c *Config) NextOp(p int) (lang.Op, bool, error) { return c.procs[p].NextOp
 // states are reachable, and ages enter the key encoding only while a bound
 // is active).
 func (c *Config) SetReorderBound(k int) {
+	// Ages enter the buffer components only while a bound is active.
+	for _, b := range c.wbs {
+		b.dropKey()
+	}
 	if k <= 0 || c.model == SC {
 		c.reorderBound, c.wbAges = 0, nil
 		return
@@ -461,7 +475,11 @@ func (c *Config) bumpAges(p int, skip Reg, u *Undo) {
 		row[r]++
 		bumped = true
 	}
-	if bumped && u != nil {
+	if !bumped {
+		return
+	}
+	c.wbs[p].dropKey()
+	if u != nil {
 		u.agesBumped = true
 		u.agesSkip = skip
 	}
@@ -605,7 +623,7 @@ func (c *Config) commitStep(p int, r Reg, u *Undo) StepRecord {
 		u.lcReg = w.Reg
 		u.lcPrev = c.lastCommitter[w.Reg]
 	}
-	c.mem[w.Reg] = w.Val
+	c.setMem(w.Reg, w.Val)
 
 	owner := c.lay.Owner(w.Reg)
 	last, seen := c.lastCommitterOf(w.Reg)
@@ -729,7 +747,7 @@ func (c *Config) writeStep(p int, op lang.Op, u *Undo) (StepRecord, bool, error)
 			u.lcReg = r
 			u.lcPrev = c.lastCommitter[r]
 		}
-		c.mem[r] = v
+		c.setMem(r, v)
 		last, seen := c.lastCommitterOf(r)
 		wasLast := seen && last == p
 		remote := c.classifyCommit(owner == p, wasLast)
@@ -796,7 +814,7 @@ func (c *Config) tasStep(p int, op lang.Op, u *Undo) (StepRecord, bool, error) {
 	newVal := old
 	if old == 0 {
 		newVal = v
-		c.mem[r] = v
+		c.setMem(r, v)
 	}
 	last, seen := c.lastCommitterOf(r)
 	wasLast := seen && last == p

@@ -4,12 +4,16 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math/bits"
+
+	"tradingfences/internal/murmur"
 )
 
 // StateKeyCodecVersion identifies the binary state encoding below. It is
 // certified into checkpoint snapshots: visited-state keys minted by one
-// codec version never prune an exploration running another.
+// codec version never prune an exploration running another. The
+// component-sum key hashes the same bytes a component at a time, so it
+// left the codec at 1; the checkpoint version certifies how keys are
+// hashed.
 const StateKeyCodecVersion = 1
 
 // StateKeySize is the fixed byte size of a StateKey. Budget metering
@@ -17,11 +21,13 @@ const StateKeyCodecVersion = 1
 // bookkeeping overhead), replacing the old string-length heuristic.
 const StateKeySize = 16
 
-// StateKey is the fixed-size 128-bit hash of a configuration's canonical
-// binary state encoding. Unlike the legacy string fingerprint — whose
-// program points were backing-array addresses, canonical only within one
-// OS process — state keys are stable across runs and builds, so
-// checkpointed visited sets transfer between processes.
+// StateKey is a configuration's fixed-size 128-bit key: the sum of the
+// hashes of its components (Config.StateKey, keysum.go), or the hash of a
+// symmetry-canonical state encoding (HashStateKey). Unlike the legacy
+// string fingerprint — whose program points were backing-array addresses,
+// canonical only within one OS process — state keys are stable across
+// runs and builds, so checkpointed visited sets transfer between
+// processes.
 type StateKey [StateKeySize]byte
 
 // String returns the key as 32 lowercase hex digits (fixed width, so
@@ -41,75 +47,16 @@ func ParseStateKey(s string) (StateKey, error) {
 	return k, nil
 }
 
-// MurmurHash3 x64_128 multipliers (Austin Appleby's reference constants).
-const (
-	murmurC1 = 0x87c37b91114253d5
-	murmurC2 = 0x4cf5ad432745937f
-)
-
 // HashStateKey hashes a canonical state encoding to its fixed-size key:
-// MurmurHash3 x64_128 with seed 0, which mixes the input 16 bytes at a
-// time (allocation-free, stdlib only). The key holds the two 64-bit
-// halves little-endian, h1 first — the reference implementation's byte
-// order. DESIGN.md §5d gives the collision bound.
+// MurmurHash3 x64_128 with seed 0 (murmur.Sum128). The key holds the two
+// 64-bit halves little-endian, h1 first — the reference implementation's
+// byte order. It keys symmetry-reduced states, whose canonical bytes
+// cannot be summed component by component, and hashes every component of
+// an unreduced key (see keysum.go). DESIGN.md §5d gives the collision
+// bound.
 func HashStateKey(b []byte) StateKey {
-	var h1, h2 uint64
-	n := uint64(len(b))
-	for ; len(b) >= 16; b = b[16:] {
-		k1 := binary.LittleEndian.Uint64(b)
-		k2 := binary.LittleEndian.Uint64(b[8:])
-		h1 ^= murmurMix1(k1)
-		h1 = bits.RotateLeft64(h1, 27) + h2
-		h1 = h1*5 + 0x52dce729
-		h2 ^= murmurMix2(k2)
-		h2 = bits.RotateLeft64(h2, 31) + h1
-		h2 = h2*5 + 0x38495ab5
-	}
-	// Tail: up to 15 bytes, little-endian into k1 (bytes 0-7) and k2
-	// (bytes 8-14).
-	var k1, k2 uint64
-	for i := len(b) - 1; i >= 8; i-- {
-		k2 = k2<<8 | uint64(b[i])
-	}
-	for i := min(len(b), 8) - 1; i >= 0; i-- {
-		k1 = k1<<8 | uint64(b[i])
-	}
-	if len(b) > 8 {
-		h2 ^= murmurMix2(k2)
-	}
-	if len(b) > 0 {
-		h1 ^= murmurMix1(k1)
-	}
-	h1 ^= n
-	h2 ^= n
-	h1 += h2
-	h2 += h1
-	h1 = murmurFmix(h1)
-	h2 = murmurFmix(h2)
-	h1 += h2
-	h2 += h1
-	var k StateKey
-	binary.LittleEndian.PutUint64(k[:8], h1)
-	binary.LittleEndian.PutUint64(k[8:], h2)
-	return k
-}
-
-func murmurMix1(k uint64) uint64 {
-	return bits.RotateLeft64(k*murmurC1, 31) * murmurC2
-}
-
-func murmurMix2(k uint64) uint64 {
-	return bits.RotateLeft64(k*murmurC2, 33) * murmurC1
-}
-
-// murmurFmix is the finalizer that avalanches every input bit.
-func murmurFmix(k uint64) uint64 {
-	k ^= k >> 33
-	k *= 0xff51afd7ed558ccd
-	k ^= k >> 33
-	k *= 0xc4ceb9fe1a85ec53
-	k ^= k >> 33
-	return k
+	h1, h2 := murmur.Sum128(b)
+	return hash128{h1, h2}.key()
 }
 
 // KeyEncoder encodes configurations into canonical state-key bytes using
@@ -123,7 +70,9 @@ type KeyEncoder struct {
 // AppendStateBytes appends the canonical binary encoding of the
 // configuration's behavioural state — memory contents, every process's
 // control state and locals, and every write buffer in semantic order —
-// to buf and returns the extended slice. The encoding is injective:
+// to buf and returns the extended slice. It is the reference encoding:
+// symmetry canonicalization ranks it, and the component-sum key hashes
+// the same fields one component at a time. The encoding is injective:
 // two configurations encode equal iff the legacy string fingerprint
 // partition considers them equal. Cost-accounting state (knowledge
 // caches, last-committer table, statistics) is deliberately excluded, and
@@ -230,16 +179,6 @@ func (e *KeyEncoder) append(c *Config, buf []byte, ren *renamer) ([]byte, error)
 func (c *Config) AppendStateBytes(buf []byte) ([]byte, error) {
 	var e KeyEncoder
 	return e.AppendStateBytes(c, buf)
-}
-
-// StateKey returns the configuration's binary state key (no symmetry
-// reduction). Convenience for tests and one-shot callers.
-func (c *Config) StateKey() (StateKey, error) {
-	b, err := c.AppendStateBytes(nil)
-	if err != nil {
-		return StateKey{}, err
-	}
-	return HashStateKey(b), nil
 }
 
 // sortWrites sorts by register, in place, without allocating (the slices

@@ -171,6 +171,7 @@ func (u *Undo) Revert() {
 		}
 		if u.agePutTouched {
 			c.wbAges[p*c.cacheStride+int(u.agePutReg)] = u.agePutPrev
+			c.wbs[p].dropKey()
 		}
 		if u.agesBumped {
 			// The buffer restore above re-established the pre-step buffered
@@ -182,9 +183,10 @@ func (u *Undo) Revert() {
 					row[r]--
 				}
 			}
+			c.wbs[p].dropKey()
 		}
 		if u.memTouched {
-			c.mem[u.memReg] = u.memPrev
+			c.setMem(u.memReg, u.memPrev)
 		}
 		if u.cacheTouched {
 			i := p*c.cacheStride + int(u.cacheReg)

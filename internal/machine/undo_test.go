@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -94,17 +95,24 @@ func requireConfigsEqual(t *testing.T, label string, a, b *Config) {
 	}
 }
 
-// requireFreshKey asserts that c's key bytes, assembled from the
-// processes' cached segments, equal a fresh encoding of c.Clone(), whose
-// processes carry no cache: a mutation that failed to clear a segment
-// cache, or a recycled state that kept another state's cache, shows here.
+// requireFreshKey asserts that c's incremental state key — the memory
+// sum kept by setMem plus the cached process and buffer components —
+// equals the key of c.Clone(), which carries none of those caches and so
+// sums every component from scratch; and that c's key bytes, assembled
+// from the processes' cached segments, equal a fresh encoding. A mutation
+// that failed to update the memory sum or drop a cached component, or a
+// recycled state or buffer that kept another one's cache, shows here.
 func requireFreshKey(t *testing.T, label string, c *Config) {
 	t.Helper()
+	fresh := c.Clone()
+	if got, want := key(t, c), key(t, fresh); got != want {
+		t.Fatalf("%s: incremental key %v, from-scratch key %v", label, got, want)
+	}
 	got, err := c.AppendStateBytes(nil)
 	if err != nil {
 		t.Fatalf("%s: key bytes: %v", label, err)
 	}
-	want, err := c.Clone().AppendStateBytes(nil)
+	want, err := fresh.Clone().AppendStateBytes(nil)
 	if err != nil {
 		t.Fatalf("%s: fresh key bytes: %v", label, err)
 	}
@@ -112,6 +120,10 @@ func requireFreshKey(t *testing.T, label string, c *Config) {
 		t.Fatalf("%s: cached key bytes\n  %x\nfresh encoding\n  %x", label, got, want)
 	}
 }
+
+// undoBounds are the reorder bounds the revert walks run under: none, and
+// the tightest, where ages gate steps and enter the buffer components.
+var undoBounds = []int{0, 1}
 
 // undoElems builds a random schedule over n processes that also includes
 // crash elements (randomSchedule in determinism_test.go is crash-free).
@@ -137,9 +149,10 @@ func undoElems(rng *rand.Rand, n, steps int, maxReg Reg) Schedule {
 // (3) re-applying after the revert reproduces the step exactly. The
 // surviving configuration is compared against a reference that only ever
 // used Step, so undo bookkeeping cannot leak into forward execution.
-// After every step and every revert the cached key bytes must match a
-// fresh encoding.
-func stepUndoWalk(t *testing.T, model Model, fp *FaultPlan, sched Schedule, progs []*lang.Program) {
+// After every step and every revert the incremental key and the cached
+// key bytes must match a from-scratch key and encoding. bound is the
+// reorder bound (0 for none).
+func stepUndoWalk(t *testing.T, model Model, bound int, fp *FaultPlan, sched Schedule, progs []*lang.Program) {
 	t.Helper()
 	lay := NewLayout()
 	lay.MustAlloc("seg0", 10, OwnedByConst(0))
@@ -151,6 +164,7 @@ func stepUndoWalk(t *testing.T, model Model, fp *FaultPlan, sched Schedule, prog
 		t.Fatal(err)
 	}
 	c.SetFaultPlan(fp)
+	c.SetReorderBound(bound)
 	ref := c.Clone()
 
 	for i, e := range sched {
@@ -169,6 +183,7 @@ func stepUndoWalk(t *testing.T, model Model, fp *FaultPlan, sched Schedule, prog
 			// A no-op step must leave the configuration untouched and
 			// return an inert undo.
 			u.Revert()
+			requireFreshKey(t, "no-op step", c)
 			requireConfigsEqual(t, "no-op step", c, before)
 			continue
 		}
@@ -194,32 +209,36 @@ func undoProgs() []*lang.Program {
 }
 
 // TestStepUndoRevertProperty: for random schedules with crashes and
-// commit-stall windows under every model, StepUndo followed by Revert is
-// the identity (state key, fingerprint, stats, caches, last-committer,
-// buffers), and step/revert/step-again tracks a pure-Step reference
-// configuration exactly.
+// commit-stall windows under every model, with and without a reorder
+// bound, StepUndo followed by Revert is the identity (state key,
+// fingerprint, stats, caches, last-committer, buffers), and
+// step/revert/step-again tracks a pure-Step reference configuration
+// exactly.
 func TestStepUndoRevertProperty(t *testing.T) {
 	for _, model := range undoModels {
-		model := model
 		t.Run(model.String(), func(t *testing.T) {
-			f := func(seed int64) bool {
-				rng := rand.New(rand.NewSource(seed))
-				sched := undoElems(rng, 3, 120, 121)
-				fp := &FaultPlan{
-					MaxCrashes: 4,
-					Stalls: []StallWindow{
-						{P: rng.Intn(3), Reg: -1, From: int64(rng.Intn(20)), To: int64(20 + rng.Intn(60))},
-						{P: rng.Intn(3), Reg: Reg(100 + rng.Intn(10)), From: 0, To: int64(rng.Intn(80))},
-					},
-				}
-				if err := fp.Validate(3); err != nil {
-					t.Fatal(err)
-				}
-				stepUndoWalk(t, model, fp, sched, undoProgs())
-				return !t.Failed()
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-				t.Error(err)
+			for _, bound := range undoBounds {
+				t.Run(fmt.Sprintf("bound=%d", bound), func(t *testing.T) {
+					f := func(seed int64) bool {
+						rng := rand.New(rand.NewSource(seed))
+						sched := undoElems(rng, 3, 120, 121)
+						fp := &FaultPlan{
+							MaxCrashes: 4,
+							Stalls: []StallWindow{
+								{P: rng.Intn(3), Reg: -1, From: int64(rng.Intn(20)), To: int64(20 + rng.Intn(60))},
+								{P: rng.Intn(3), Reg: Reg(100 + rng.Intn(10)), From: 0, To: int64(rng.Intn(80))},
+							},
+						}
+						if err := fp.Validate(3); err != nil {
+							t.Fatal(err)
+						}
+						stepUndoWalk(t, model, bound, fp, sched, undoProgs())
+						return !t.Failed()
+					}
+					if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+						t.Error(err)
+					}
+				})
 			}
 		})
 	}
@@ -284,56 +303,63 @@ func recycleProgs() []*lang.Program {
 // descend-and-unwind cycles with crashes, so rule-4 snapshots, restarted
 // states, write buffers and cache-presence rows released by one cycle's
 // reverts are reused by the next; after every step and every revert the
-// cached key bytes must equal a fresh encoding.
+// incremental key and the cached key bytes must equal a from-scratch key
+// and encoding. Every model runs with and without a reorder bound.
 func TestStepUndoRevertStack(t *testing.T) {
 	for _, model := range undoModels {
 		t.Run(model.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			lay := NewLayout()
-			lay.MustAlloc("regs", 128, OwnedBy)
-			c, err := NewConfig(model, lay, recycleProgs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			reused := 0
-			for cycle := 0; cycle < 40; cycle++ {
-				spare := len(c.spareProcs)
-				snapshots := []*Config{c.Clone()}
-				var undos []Undo
-				for _, e := range undoElems(rng, 3, 30, 121) {
-					_, took, u, err := c.StepUndo(e)
+			for _, bound := range undoBounds {
+				t.Run(fmt.Sprintf("bound=%d", bound), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(11))
+					lay := NewLayout()
+					lay.MustAlloc("regs", 128, OwnedBy)
+					c, err := NewConfig(model, lay, recycleProgs())
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !took {
-						continue
+					c.SetReorderBound(bound)
+					reused := 0
+					for cycle := 0; cycle < 40; cycle++ {
+						spare := len(c.spareProcs)
+						snapshots := []*Config{c.Clone()}
+						var undos []Undo
+						for _, e := range undoElems(rng, 3, 30, 121) {
+							_, took, u, err := c.StepUndo(e)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !took {
+								continue
+							}
+							requireFreshKey(t, "after step", c)
+							undos = append(undos, u)
+							snapshots = append(snapshots, c.Clone())
+						}
+						if len(c.spareProcs) < spare {
+							reused++
+						}
+						for len(undos) > 0 {
+							undos[len(undos)-1].Revert()
+							undos = undos[:len(undos)-1]
+							snapshots = snapshots[:len(snapshots)-1]
+							requireFreshKey(t, "after revert", c)
+							requireConfigsEqual(t, "unwind", c, snapshots[len(snapshots)-1])
+						}
 					}
-					requireFreshKey(t, "after step", c)
-					undos = append(undos, u)
-					snapshots = append(snapshots, c.Clone())
-				}
-				if len(c.spareProcs) < spare {
-					reused++
-				}
-				for len(undos) > 0 {
-					undos[len(undos)-1].Revert()
-					undos = undos[:len(undos)-1]
-					snapshots = snapshots[:len(snapshots)-1]
-					requireFreshKey(t, "after revert", c)
-					requireConfigsEqual(t, "unwind", c, snapshots[len(snapshots)-1])
-				}
-			}
-			if reused == 0 || len(c.spareBufs) == 0 || len(c.spareRows) == 0 {
-				t.Fatalf("storage not recycled: %d cycles reused states; %d spare buffers, %d spare rows",
-					reused, len(c.spareBufs), len(c.spareRows))
+					if reused == 0 || len(c.spareBufs) == 0 || len(c.spareRows) == 0 {
+						t.Fatalf("storage not recycled: %d cycles reused states; %d spare buffers, %d spare rows",
+							reused, len(c.spareBufs), len(c.spareRows))
+					}
+				})
 			}
 		})
 	}
 }
 
-// FuzzStepUndoRevert: arbitrary schedule text under an arbitrary model
-// must satisfy the revert identity. The corpus seeds cover commits, crash
-// elements and fence drains.
+// FuzzStepUndoRevert: arbitrary schedule text under an arbitrary model,
+// with and without a reorder bound, must satisfy the revert identity and
+// keep the incremental key equal to a from-scratch one. The corpus seeds
+// cover commits, crash elements and fence drains.
 func FuzzStepUndoRevert(f *testing.F) {
 	f.Add("p0 p1 p0:R100 p1:R101 p0 p0 p1", uint8(2))
 	f.Add("p0 p0 p0 p0! p0 p0", uint8(2))
@@ -351,6 +377,8 @@ func FuzzStepUndoRevert(f *testing.F) {
 		}
 		model := undoModels[int(modelByte)%len(undoModels)]
 		fp := &FaultPlan{MaxCrashes: len(sched), Stalls: []StallWindow{{P: 0, Reg: -1, From: 2, To: 9}}}
-		stepUndoWalk(t, model, fp, sched, undoProgs())
+		for _, bound := range undoBounds {
+			stepUndoWalk(t, model, bound, fp, sched, undoProgs())
+		}
 	})
 }

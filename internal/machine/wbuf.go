@@ -96,11 +96,33 @@ type writeBuffer interface {
 	// appendEntries appends the entries to dst without allocating a fresh
 	// slice — the state-key encoder's hot path.
 	appendEntries(dst []Write) []Write
-	// clone returns an independent deep copy.
+	// at returns entry i (0 <= i < len) in the order entries uses.
+	at(i int) Write
+	// clone returns an independent deep copy, without a cached key.
 	clone() writeBuffer
 	// reset empties the buffer, keeping its storage.
 	reset()
+	// cachedKey returns the buffer's cached state-key component (see
+	// Config.bufferKey), with ok=false when none is cached.
+	cachedKey() (h hash128, ok bool)
+	// setCachedKey caches the buffer's state-key component.
+	setCachedKey(h hash128)
+	// dropKey discards the cached component. Every mutation above drops
+	// it, and the machine drops it when it changes the reorder ages of
+	// the buffered writes.
+	dropKey()
 }
+
+// keyCache holds a write buffer's cached state-key component, valid iff
+// ok. Both slice-backed buffers embed it.
+type keyCache struct {
+	h  hash128
+	ok bool
+}
+
+func (k *keyCache) cachedKey() (hash128, bool) { return k.h, k.ok }
+func (k *keyCache) setCachedKey(h hash128)     { k.h, k.ok = h, true }
+func (k *keyCache) dropKey()                   { k.ok = false }
 
 // psoBuffer implements the paper's unordered write buffer as a flat slice
 // sorted by register: a register-keyed set. Any buffered write may commit
@@ -108,6 +130,7 @@ type writeBuffer interface {
 // appends, drainNext a peek at index 0, and clone a single copy.
 type psoBuffer struct {
 	ws []Write // sorted ascending by Reg, no duplicate registers
+	keyCache
 }
 
 func newPSOBuffer() *psoBuffer { return &psoBuffer{} }
@@ -128,6 +151,7 @@ func (b *psoBuffer) find(r Reg) (int, bool) {
 }
 
 func (b *psoBuffer) put(w Write) (replaced bool, old Value) {
+	b.dropKey()
 	i, ok := b.find(w.Reg)
 	if ok {
 		old = b.ws[i].Val
@@ -141,6 +165,7 @@ func (b *psoBuffer) put(w Write) (replaced bool, old Value) {
 }
 
 func (b *psoBuffer) unput(w Write, replaced bool, old Value) {
+	b.dropKey()
 	i, ok := b.find(w.Reg)
 	if !ok {
 		return
@@ -167,6 +192,7 @@ func (b *psoBuffer) canCommit(r Reg) bool {
 }
 
 func (b *psoBuffer) commit(r Reg) Write {
+	b.dropKey()
 	i, _ := b.find(r)
 	w := b.ws[i]
 	b.ws = append(b.ws[:i], b.ws[i+1:]...)
@@ -174,6 +200,7 @@ func (b *psoBuffer) commit(r Reg) Write {
 }
 
 func (b *psoBuffer) uncommit(w Write) {
+	b.dropKey()
 	i, _ := b.find(w.Reg)
 	b.ws = append(b.ws, Write{})
 	copy(b.ws[i+1:], b.ws[i:])
@@ -203,13 +230,15 @@ func (b *psoBuffer) appendEntries(dst []Write) []Write {
 	return append(dst, b.ws...)
 }
 
+func (b *psoBuffer) at(i int) Write { return b.ws[i] }
+
 func (b *psoBuffer) clone() writeBuffer {
 	c := &psoBuffer{ws: make([]Write, len(b.ws))}
 	copy(c.ws, b.ws)
 	return c
 }
 
-func (b *psoBuffer) reset() { b.ws = b.ws[:0] }
+func (b *psoBuffer) reset() { b.ws, b.ok = b.ws[:0], false }
 
 // tsoBuffer implements a FIFO store buffer: only the oldest write may
 // commit, so writes reach memory in program order. A later write to a
@@ -218,11 +247,13 @@ func (b *psoBuffer) reset() { b.ws = b.ws[:0] }
 // invariant the machine's read rule relies on.
 type tsoBuffer struct {
 	q []Write
+	keyCache
 }
 
 func newTSOBuffer() *tsoBuffer { return &tsoBuffer{} }
 
 func (b *tsoBuffer) put(w Write) (replaced bool, old Value) {
+	b.dropKey()
 	for i := range b.q {
 		if b.q[i].Reg == w.Reg {
 			old = b.q[i].Val
@@ -235,6 +266,7 @@ func (b *tsoBuffer) put(w Write) (replaced bool, old Value) {
 }
 
 func (b *tsoBuffer) unput(w Write, replaced bool, old Value) {
+	b.dropKey()
 	if replaced {
 		for i := range b.q {
 			if b.q[i].Reg == w.Reg {
@@ -263,12 +295,14 @@ func (b *tsoBuffer) canCommit(r Reg) bool {
 	return len(b.q) > 0 && b.q[0].Reg == r
 }
 func (b *tsoBuffer) commit(r Reg) Write {
+	b.dropKey()
 	w := b.q[0]
 	copy(b.q, b.q[1:])
 	b.q = b.q[:len(b.q)-1]
 	return w
 }
 func (b *tsoBuffer) uncommit(w Write) {
+	b.dropKey()
 	b.q = append(b.q, Write{})
 	copy(b.q[1:], b.q)
 	b.q[0] = w
@@ -295,17 +329,18 @@ func (b *tsoBuffer) entries() []Write {
 func (b *tsoBuffer) appendEntries(dst []Write) []Write {
 	return append(dst, b.q...)
 }
+func (b *tsoBuffer) at(i int) Write { return b.q[i] }
 func (b *tsoBuffer) clone() writeBuffer {
 	c := &tsoBuffer{q: make([]Write, len(b.q))}
 	copy(c.q, b.q)
 	return c
 }
-func (b *tsoBuffer) reset() { b.q = b.q[:0] }
+func (b *tsoBuffer) reset() { b.q, b.ok = b.q[:0], false }
 
 // scBuffer is the degenerate buffer of sequential consistency: the machine
 // commits every write within the same step, so the buffer is always empty
 // between steps. It still implements the interface so the step rules stay
-// uniform.
+// uniform. An empty buffer has no key component, so it caches none.
 type scBuffer struct{}
 
 func (scBuffer) put(Write) (bool, Value)    { return false, 0 }
@@ -319,11 +354,15 @@ func (scBuffer) drainNext() Reg             { return 0 }
 func (scBuffer) regs() []Reg                { return nil }
 func (scBuffer) appendRegs(dst []Reg) []Reg { return dst }
 func (scBuffer) entries() []Write           { return nil }
+func (scBuffer) at(int) Write               { return Write{} }
 func (scBuffer) appendEntries(dst []Write) []Write {
 	return dst
 }
-func (scBuffer) clone() writeBuffer { return scBuffer{} }
-func (scBuffer) reset()             {}
+func (scBuffer) clone() writeBuffer         { return scBuffer{} }
+func (scBuffer) reset()                     {}
+func (scBuffer) cachedKey() (hash128, bool) { return hash128{}, false }
+func (scBuffer) setCachedKey(hash128)       {}
+func (scBuffer) dropKey()                   {}
 
 func newBuffer(m Model) writeBuffer {
 	switch m {

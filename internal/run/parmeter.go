@@ -90,13 +90,15 @@ func (m *SharedMeter) AddSteps(n int64) error {
 }
 
 // AddState charges one interned state of approximately memEstimate bytes
-// and periodically re-checks context and wall budget.
+// and periodically re-checks context and wall budget. Like AddSteps, it
+// keeps the whole charge when it fails — the state and its bytes — so
+// Refund(0, 1, memEstimate) gives it back.
 func (m *SharedMeter) AddState(memEstimate int64) error {
 	states := m.states.Add(1)
+	mem := m.mem.Add(memEstimate)
 	if m.b.MaxStates > 0 && states > int64(m.b.MaxStates) {
 		return &BudgetError{Resource: "states", Limit: int64(m.b.MaxStates), Used: states}
 	}
-	mem := m.mem.Add(memEstimate)
 	if m.b.MaxMemEstimate > 0 && mem > m.b.MaxMemEstimate {
 		return &BudgetError{Resource: "memory", Limit: m.b.MaxMemEstimate, Used: mem}
 	}
@@ -104,4 +106,15 @@ func (m *SharedMeter) AddState(memEstimate int64) error {
 		return m.Check()
 	}
 	return nil
+}
+
+// Refund gives back charges for work the caller did not keep: a step or
+// state whose Add* call failed (a failed call keeps its charge), or a
+// charged step the caller re-queued. Re-queued work is charged again
+// when it is done, so without a refund a budget trip and its resume
+// would count it twice. Refund never trips.
+func (m *SharedMeter) Refund(steps, states, mem int64) {
+	m.steps.Add(-steps)
+	m.states.Add(-states)
+	m.mem.Add(-mem)
 }

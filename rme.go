@@ -46,10 +46,12 @@ func ChanWoelfelBound(n int) float64 { return rme.ChanWoelfelBound(n) }
 // exclusivity across every interleaving of crashes and recoveries within
 // the budget.
 //
-// The verdict additionally reports Passages: worst-case remote memory
-// references per recoverable passage under both the CC and DSM rules,
-// measured over every passage the exploration closed (crash re-entries
-// charge the passage they interrupted). Budget handling, degradation and
+// The verdict additionally reports Passages: the most remote memory
+// references any recoverable passage paid under the CC and DSM rules,
+// over every passage the exploration closed (crash re-entries charge the
+// passage they interrupted). They are certified lower bounds on the
+// worst case, proved verdicts included: a path pruned at a visited state
+// drops its costs. Budget handling, degradation and
 // witness packaging are as in CheckMutexCtx; witness artifacts carry the
 // lock name as "rme:<name>" and replay through ReplayWitness.
 func CheckRMECtx(ctx context.Context, name string, n, passages int, model MemoryModel, opts CheckOptions) (v *MutexVerdict, err error) {
