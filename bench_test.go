@@ -7,6 +7,7 @@ package tradingfences
 //	go test -bench=. -benchmem .
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -26,7 +27,7 @@ func BenchmarkTable1CommandCensus(b *testing.B) {
 			var rep *EncodingReport
 			var err error
 			for i := 0; i < b.N; i++ {
-				rep, err = EncodePermutation(lock, Count, pi)
+				rep, err = EncodePermutationCtx(context.Background(), lock, Count, pi, Budget{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -135,7 +136,7 @@ func BenchmarkLowerBoundEncoding(b *testing.B) {
 			var rep *EncodingReport
 			var err error
 			for i := 0; i < b.N; i++ {
-				rep, err = EncodePermutation(cfg.lock, Count, pi)
+				rep, err = EncodePermutationCtx(context.Background(), cfg.lock, Count, pi, Budget{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -180,7 +181,7 @@ func BenchmarkSeparation(b *testing.B) {
 	var rows []SeparationRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = SeparationMatrix(3_000_000)
+		rows, err = SeparationMatrixCtx(context.Background(), CheckOptions{Budget: Budget{MaxStates: 3_000_000}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func BenchmarkOrderingObjects(b *testing.B) {
 			var rep *EncodingReport
 			var err error
 			for i := 0; i < b.N; i++ {
-				rep, err = EncodePermutation(LockSpec{Kind: Bakery}, obj, pi)
+				rep, err = EncodePermutationCtx(context.Background(), LockSpec{Kind: Bakery}, obj, pi, Budget{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -230,8 +231,8 @@ func BenchmarkLiveness(b *testing.B) {
 			var v *LivenessVerdict
 			var err error
 			for i := 0; i < b.N; i++ {
-				v, err = CheckLiveness(spec, 2, 1, PSO, 3_000_000)
-				if err != nil {
+				v, err = CheckLivenessCtx(context.Background(), spec, 2, 1, PSO, CheckOptions{Budget: Budget{MaxStates: 3_000_000}})
+				if err != nil && !IsLimit(err) {
 					b.Fatal(err)
 				}
 			}
@@ -329,8 +330,8 @@ func BenchmarkFCFS(b *testing.B) {
 			var v *FCFSVerdict
 			var err error
 			for i := 0; i < b.N; i++ {
-				v, err = CheckFCFS(c.spec, c.n, PSO, 8_000_000)
-				if err != nil {
+				v, err = CheckFCFSCtx(context.Background(), c.spec, c.n, PSO, CheckOptions{Budget: Budget{MaxStates: 8_000_000}})
+				if err != nil && !IsLimit(err) {
 					b.Fatal(err)
 				}
 			}
@@ -430,7 +431,7 @@ func BenchmarkAblationEncoderScaling(b *testing.B) {
 			var rep *EncodingReport
 			var err error
 			for i := 0; i < b.N; i++ {
-				rep, err = EncodePermutation(LockSpec{Kind: Bakery}, Count, pi)
+				rep, err = EncodePermutationCtx(context.Background(), LockSpec{Kind: Bakery}, Count, pi, Budget{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -67,24 +67,12 @@ type CheckOptions struct {
 	// FallbackRuns and FallbackMaxSteps size the randomized fallback
 	// (0 = defaults: 2000 runs of up to 400 steps).
 	FallbackRuns, FallbackMaxSteps int
-	// Symmetry enables process-symmetry reduction in exhaustive mutual-
-	// exclusion checking: the visited set is keyed on the canonical
-	// representative of each state's orbit under process renaming, so
-	// mirror-image states are explored once. Witnesses stay concrete
-	// schedules that replay directly. Only locks that declare a symmetry
-	// specification (Peterson variants) actually reduce; for all others
-	// the flag is an honest no-op with bit-identical verdicts. CheckFCFSCtx
-	// and CheckLivenessCtx reject the flag: the precedence monitor
-	// distinguishes processes, and the symmetry argument does not cover
-	// the liveness graph.
-	Symmetry bool
 	// Workers sizes the work-stealing explorer's goroutine pool; 0 (the
 	// default) runs it with one worker. One worker is deterministic
 	// (verdict, witness schedule, state count, budget-trip point); at
 	// higher counts verdicts and complete-run state counts stay exact, POR
-	// included (POR counts under Symmetry are not claimed exact), but which
-	// witness is found first and where a budget trips become
-	// scheduling-dependent.
+	// included, but which witness is found first and where a budget trips
+	// become scheduling-dependent.
 	// Workers above 1 and the checkpoint fields apply to mutual-exclusion
 	// checking; CheckFCFSCtx and CheckLivenessCtx run one engine worker
 	// without snapshots and reject them rather than silently ignoring them.
@@ -115,8 +103,8 @@ type CheckOptions struct {
 	// replayability are preserved, so a complete violation-free POR run is
 	// still a full proof (Proved stays true); state counts shrink, by the
 	// same amount at every worker count and after a resume (the cycle
-	// proviso is decided from the program; counts under Symmetry are not
-	// claimed exact). Liveness and FCFS checking reject the flag.
+	// proviso is decided from the program). Liveness and FCFS checking
+	// reject the flag.
 	POR bool
 }
 

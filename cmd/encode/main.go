@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -75,6 +76,7 @@ func run(n int, lock string, perms int, seed int64, piFlag string) error {
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 
 	var pis [][]int
 	switch {
@@ -103,7 +105,7 @@ func run(n int, lock string, perms int, seed int64, piFlag string) error {
 		"perm", "β", "ρ", "m", "v", "bits", "bound", "β(lgρ/β+1)", "decode")
 
 	for _, pi := range pis {
-		rep, err := tradingfences.EncodePermutation(spec, tradingfences.Count, pi)
+		rep, err := tradingfences.EncodePermutationCtx(ctx, spec, tradingfences.Count, pi, tradingfences.Budget{})
 		if err != nil {
 			return err
 		}
@@ -125,7 +127,7 @@ func run(n int, lock string, perms int, seed int64, piFlag string) error {
 
 	// Command census for the last permutation (the paper's Table 1).
 	last := pis[len(pis)-1]
-	rep, err := tradingfences.EncodePermutation(spec, tradingfences.Count, last)
+	rep, err := tradingfences.EncodePermutationCtx(ctx, spec, tradingfences.Count, last, tradingfences.Budget{})
 	if err != nil {
 		return err
 	}

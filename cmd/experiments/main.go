@@ -268,7 +268,7 @@ func runE5(ctx context.Context, quick bool) (*table, error) {
 
 func runE6(ctx context.Context, quick bool) (*table, error) {
 	states := pick(quick, 1_000_000, 3_000_000)
-	rows, err := tradingfences.SeparationMatrixWithOptions(ctx, tradingfences.CheckOptions{
+	rows, err := tradingfences.SeparationMatrixCtx(ctx, tradingfences.CheckOptions{
 		Budget:  tradingfences.Budget{MaxStates: states},
 		Workers: workers,
 	})
@@ -551,8 +551,8 @@ func runE15(ctx context.Context, quick bool) (*table, error) {
 			"`states` is the visited count on complete runs and the " +
 			"states-to-witness on VIOLATED rows; `vs full` compares the two. " +
 			"POR expands ample sets under a static cycle proviso (decided from " +
-			"the program), so reduced counts are the same at every -workers value " +
-			"(symmetric runs excepted). The n >= 4 budget-trip rows live in " +
+			"the program), so reduced counts are the same at every -workers value. " +
+			"The n >= 4 budget-trip rows live in " +
 			"BENCH_check.json's reduction section.",
 		Headers: []string{"lock", "n", "model", "mode", "verdict", "states", "vs full"},
 	}

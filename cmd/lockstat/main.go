@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lockstat [-max 512]
-//	lockstat -check peterson -model pso -symmetry
+//	lockstat -check peterson -model pso -por
 package main
 
 import (
@@ -40,7 +40,6 @@ func realMain() int {
 	crashes := flag.Int("crashes", 0, "adversarial crash budget for -check (recoverable locks recover, plain locks cold-restart)")
 	states := flag.Int("states", 0, "state budget for -check (0 = unlimited)")
 	workers := flag.Int("workers", 0, "worker pool of the work-stealing explorer for -check (0 = one worker, which is deterministic)")
-	symmetry := flag.Bool("symmetry", false, "enable process-symmetry reduction for -check (no-op for locks without a symmetry declaration)")
 	por := flag.Bool("por", false, "enable commit-step partial-order reduction for -check (verdict-preserving; a complete run is still a full proof)")
 	reorderBound := flag.Int("reorder-bound", 0, "reorder-bounded buffer semantics for -check: each buffered write may reorder past at most this many later same-process operations (0 = full semantics; a violation-free bounded run is a bounded certificate, not a proof)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (pprof) to this file")
@@ -65,7 +64,7 @@ func realMain() int {
 	err := func() error {
 		switch {
 		case *chk != "":
-			return runCheck(*chk, *dumpN, *model, *states, *workers, *crashes, *symmetry, *por, *reorderBound)
+			return runCheck(*chk, *dumpN, *model, *states, *workers, *crashes, *por, *reorderBound)
 		case *dump != "":
 			return runDump(*dump, *dumpN)
 		case *explain != "":
@@ -127,7 +126,7 @@ func parseLock(name string) (tradingfences.LockSpec, error) {
 	return spec, nil
 }
 
-func runCheck(name string, n int, model string, states, workers, crashes int, symmetry, por bool, reorderBound int) error {
+func runCheck(name string, n int, model string, states, workers, crashes int, por bool, reorderBound int) error {
 	mm, err := tradingfences.ParseMemoryModel(model)
 	if err != nil {
 		return err
@@ -135,7 +134,6 @@ func runCheck(name string, n int, model string, states, workers, crashes int, sy
 	opts := tradingfences.CheckOptions{
 		Budget:       tradingfences.Budget{MaxStates: states},
 		Workers:      workers,
-		Symmetry:     symmetry,
 		POR:          por,
 		ReorderBound: reorderBound,
 	}
@@ -178,19 +176,16 @@ func runCheck(name string, n int, model string, states, workers, crashes int, sy
 		// the bound, not a proof of the full semantics.
 		verdict = fmt.Sprintf("BOUNDED-COMPLETE(k=%d)", v.Coverage.ReorderBound)
 	}
-	sym := ""
-	if v.SymmetryApplied {
-		sym = " (symmetry orbits)"
-	}
+	reduced := ""
 	if v.Coverage.POR {
-		sym += " (POR)"
+		reduced = " (POR)"
 	}
 	budget := ""
 	if crashes > 0 {
 		budget = fmt.Sprintf(", crashes<=%d", crashes)
 	}
 	fmt.Printf("%s %s: %s under %v, n=%d%s, %d states%s, mode=%s, %.0f ms\n",
-		kind, what, verdict, mm, n, budget, v.States, sym, v.Mode, float64(wall.Microseconds())/1000)
+		kind, what, verdict, mm, n, budget, v.States, reduced, v.Mode, float64(wall.Microseconds())/1000)
 	if ps := v.Passages; ps != nil && ps.Count > 0 {
 		fmt.Printf("max RMRs/passage: CC=%d DSM=%d (%d passages; Chan-Woelfel log n/log log n = %.2f)\n",
 			ps.MaxCC, ps.MaxDSM, ps.Count, tradingfences.ChanWoelfelBound(n))

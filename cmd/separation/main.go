@@ -199,7 +199,7 @@ func verdictCell(v *tradingfences.MutexVerdict) string {
 }
 
 func run(ctx context.Context, maxStates int, witness, witnessOut string, crashes, workers int, checkpoint string) error {
-	rows, err := tradingfences.SeparationMatrixCtx(ctx, maxStates)
+	rows, err := tradingfences.SeparationMatrixCtx(ctx, tradingfences.CheckOptions{Budget: tradingfences.Budget{MaxStates: maxStates}})
 	if err != nil {
 		return err
 	}

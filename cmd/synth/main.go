@@ -41,7 +41,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool for the supervised oracle")
 	maxOracle := flag.Int("max-oracle", 0, "cap on oracle calls (0 = unlimited); exceeding it leaves the frontier explicitly partial")
 	seed := flag.Int64("seed", 1, "seed for the supervised oracle's randomized fallback")
-	symmetry := flag.Bool("symmetry", false, "enable process-symmetry reduction in the safety oracle (no-op for locks without a symmetry declaration)")
 	por := flag.Bool("por", false, "enable commit-step partial-order reduction in the safety oracle (verdict-preserving: the frontier is unchanged, found with fewer states)")
 	reorderBound := flag.Int("reorder-bound", 0, "reorder-bounded oracle semantics (0 = full): refutations stay genuine but violation-free completions become undecided, so expect a partial frontier")
 	witnessDir := flag.String("witness-dir", "", "directory for refutation witness artifacts (created if missing)")
@@ -70,7 +69,7 @@ func main() {
 		cpuf = f
 	}
 	err := run(*lock, *n, *model, *passages, *states, *memMB, *timeout, *oracle,
-		*workers, *maxOracle, *seed, *symmetry, *por, *reorderBound, *witnessDir, *jsonOut, *assertMinimal, *benchOut)
+		*workers, *maxOracle, *seed, *por, *reorderBound, *witnessDir, *jsonOut, *assertMinimal, *benchOut)
 	if cpuf != nil {
 		pprof.StopCPUProfile()
 		cpuf.Close()
@@ -100,7 +99,7 @@ func writeHeapProfile(path string) {
 }
 
 func run(lock string, n int, model string, passages, states, memMB int, timeout time.Duration,
-	oracle string, workers, maxOracle int, seed int64, symmetry, por bool, reorderBound int,
+	oracle string, workers, maxOracle int, seed int64, por bool, reorderBound int,
 	witnessDir string, jsonOut bool, assertMinimal, benchOut string) error {
 	spec, err := tradingfences.ParseLockSpec(lock)
 	if err != nil {
@@ -116,7 +115,6 @@ func run(lock string, n int, model string, passages, states, memMB int, timeout 
 		Workers:        workers,
 		Seed:           seed,
 		MaxOracleCalls: maxOracle,
-		Symmetry:       symmetry,
 		POR:            por,
 		ReorderBound:   reorderBound,
 		WitnessDir:     witnessDir,

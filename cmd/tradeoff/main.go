@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +38,7 @@ func run(n int, shape bool, fOnly int) error {
 	if shape {
 		return printShapes(n, fOnly)
 	}
-	pts, err := tradingfences.TradeoffSweep(n)
+	pts, err := tradingfences.TradeoffSweepCtx(context.Background(), n)
 	if err != nil {
 		return err
 	}

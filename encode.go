@@ -72,19 +72,14 @@ type EncodingReport struct {
 	Iterations int
 }
 
-// EncodePermutation runs the paper's Section 5.2 construction for the
+// EncodePermutationCtx runs the paper's Section 5.2 construction for the
 // ordering object over the lock, for permutation pi, under the PSO machine.
 // It errors if the object fails the ordering property (Definition 4.1) —
 // i.e. if some process does not return its π-rank in the constructed
-// execution.
-func EncodePermutation(spec LockSpec, obj ObjectKind, pi Permutation) (*EncodingReport, error) {
-	return EncodePermutationCtx(context.Background(), spec, obj, pi, Budget{})
-}
-
-// EncodePermutationCtx is EncodePermutation bounded by a budget (MaxWall
-// applies to the whole construction, MaxSteps to each decode pass) and
-// cancellable via ctx: cancellation mid-construction returns promptly with
-// an error matching context.Canceled.
+// execution. The construction is bounded by a budget (MaxWall applies to
+// the whole construction, MaxSteps to each decode pass; the zero Budget is
+// unlimited) and cancellable via ctx: cancellation mid-construction
+// returns promptly with an error matching context.Canceled.
 func EncodePermutationCtx(ctx context.Context, spec LockSpec, obj ObjectKind, pi Permutation, budget Budget) (rep *EncodingReport, err error) {
 	defer run.Recover("encode permutation", &err)
 	n := len(pi)

@@ -1,6 +1,7 @@
 package tradingfences_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,10 +43,10 @@ func ExampleMeasureLock() {
 	// n=32: f=4 r=64
 }
 
-// TradeoffSweep reproduces Equation 2: for fixed n, RMRs fall as fences
-// rise along the GT_f family.
-func ExampleTradeoffSweep() {
-	pts, err := tradingfences.TradeoffSweep(16)
+// TradeoffSweepCtx reproduces Equation 2: for fixed n, RMRs fall as
+// fences rise along the GT_f family.
+func ExampleTradeoffSweepCtx() {
+	pts, err := tradingfences.TradeoffSweepCtx(context.Background(), 16)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,12 +60,12 @@ func ExampleTradeoffSweep() {
 	// GT_4: f=16 r=19
 }
 
-// EncodePermutation runs the paper's Section 5 construction; the code
+// EncodePermutationCtx runs the paper's Section 5 construction; the code
 // decodes back to the same permutation.
-func ExampleEncodePermutation() {
+func ExampleEncodePermutationCtx() {
 	spec := tradingfences.LockSpec{Kind: tradingfences.Bakery}
 	pi := []int{2, 0, 3, 1}
-	rep, err := tradingfences.EncodePermutation(spec, tradingfences.Count, pi)
+	rep, err := tradingfences.EncodePermutationCtx(context.Background(), spec, tradingfences.Count, pi, tradingfences.Budget{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,12 +80,13 @@ func ExampleEncodePermutation() {
 	// round trip ok: true
 }
 
-// CheckMutex proves or refutes mutual exclusion exhaustively. The
+// CheckMutexCtx proves or refutes mutual exclusion exhaustively. The
 // TSO-placement Peterson lock is correct under TSO and broken under PSO.
-func ExampleCheckMutex() {
+func ExampleCheckMutexCtx() {
 	spec := tradingfences.LockSpec{Kind: tradingfences.PetersonTSO}
+	opts := tradingfences.CheckOptions{Budget: tradingfences.Budget{MaxStates: 2_000_000}}
 	for _, m := range []tradingfences.MemoryModel{tradingfences.TSO, tradingfences.PSO} {
-		v, err := tradingfences.CheckMutex(spec, 2, 1, m, 2_000_000)
+		v, err := tradingfences.CheckMutexCtx(context.Background(), spec, 2, 1, m, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -100,15 +102,18 @@ func ExampleCheckMutex() {
 	// PSO: violated
 }
 
-// CheckFCFS shows the fairness dimension: Bakery is first-come-first-
+// CheckFCFSCtx shows the fairness dimension: Bakery is first-come-first-
 // served, GT_2 is not.
-func ExampleCheckFCFS() {
-	v, err := tradingfences.CheckFCFS(tradingfences.LockSpec{Kind: tradingfences.Bakery}, 2, tradingfences.PSO, 5_000_000)
+func ExampleCheckFCFSCtx() {
+	ctx := context.Background()
+	v, err := tradingfences.CheckFCFSCtx(ctx, tradingfences.LockSpec{Kind: tradingfences.Bakery}, 2, tradingfences.PSO,
+		tradingfences.CheckOptions{Budget: tradingfences.Budget{MaxStates: 5_000_000}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("bakery FCFS proved:", v.Proved)
-	v, err = tradingfences.CheckFCFS(tradingfences.LockSpec{Kind: tradingfences.GT, F: 2}, 3, tradingfences.PSO, 8_000_000)
+	v, err = tradingfences.CheckFCFSCtx(ctx, tradingfences.LockSpec{Kind: tradingfences.GT, F: 2}, 3, tradingfences.PSO,
+		tradingfences.CheckOptions{Budget: tradingfences.Budget{MaxStates: 8_000_000}})
 	if err != nil {
 		log.Fatal(err)
 	}

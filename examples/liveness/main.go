@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,8 @@ import (
 )
 
 func main() {
-	const states = 2_000_000
+	ctx := context.Background()
+	opts := tradingfences.CheckOptions{Budget: tradingfences.Budget{MaxStates: 2_000_000}}
 	specs := []tradingfences.LockSpec{
 		{Kind: tradingfences.Peterson},
 		{Kind: tradingfences.Bakery},
@@ -34,12 +36,13 @@ func main() {
 	fmt.Printf("%-17s %-8s %-9s %-15s %-24s\n",
 		"lock", "states", "mutex", "deadlock-free", "weakly obstruction-free")
 	for _, spec := range specs {
-		mv, err := tradingfences.CheckMutex(spec, 2, 1, tradingfences.PSO, states)
+		mv, err := tradingfences.CheckMutexCtx(ctx, spec, 2, 1, tradingfences.PSO, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		lv, err := tradingfences.CheckLiveness(spec, 2, 1, tradingfences.PSO, states)
-		if err != nil {
+		// A tripped budget leaves an inconclusive (Complete=false) verdict.
+		lv, err := tradingfences.CheckLivenessCtx(ctx, spec, 2, 1, tradingfences.PSO, opts)
+		if err != nil && !tradingfences.IsLimit(err) {
 			log.Fatal(err)
 		}
 		mutex := "proved"

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,8 @@ import (
 func main() {
 	spec := tradingfences.LockSpec{Kind: tradingfences.BakeryTSO}
 	const states = 3_000_000
+	ctx := context.Background()
+	opts := tradingfences.CheckOptions{Budget: tradingfences.Budget{MaxStates: states}}
 
 	fmt.Println("lock under test: bakery-tso — classic Bakery with the fence between")
 	fmt.Println("the ticket write and the choosing-flag write removed (TSO commits")
@@ -22,7 +25,7 @@ func main() {
 	fmt.Println()
 
 	for _, model := range tradingfences.Models() {
-		v, err := tradingfences.CheckMutex(spec, 2, 1, model, states)
+		v, err := tradingfences.CheckMutexCtx(ctx, spec, 2, 1, model, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -36,7 +39,7 @@ func main() {
 		}
 	}
 
-	v, err := tradingfences.CheckMutex(spec, 2, 1, tradingfences.PSO, states)
+	v, err := tradingfences.CheckMutexCtx(ctx, spec, 2, 1, tradingfences.PSO, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 	pi := tradingfences.RandomPerm(n, 2026)
 	fmt.Printf("π               = %v\n", pi)
 
-	rep, err := tradingfences.EncodePermutation(spec, tradingfences.Count, pi)
+	rep, err := tradingfences.EncodePermutationCtx(context.Background(), spec, tradingfences.Count, pi, tradingfences.Budget{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,13 +34,19 @@ type FCFSVerdict struct {
 
 // CheckFCFSCtx exhaustively checks first-come-first-served fairness of the
 // lock for n processes (one passage each) under the given memory model,
-// bounded by opts.Budget and cancelled by ctx. The exploration engine runs
-// at one worker with the precedence monitor riding along each path. Fault
-// plans and Symmetry are rejected: the monitor is not crash-aware and
-// distinguishes processes. Workers > 1, CheckpointPath and CheckpointEvery
-// are rejected too: the monitor state is not part of the checkpoint
-// schema, and silently running one worker without snapshots would betray
-// what the caller asked for.
+// bounded by opts.Budget and cancelled by ctx. The lock must declare a
+// wait-free doorway (Bakery variants, Peterson, GT_f); the tournament tree
+// does not, and FCFS is undefined for it. The exploration engine runs at
+// one worker with the precedence monitor riding along each path. Fault
+// plans are rejected: the monitor is not crash-aware. Workers > 1,
+// CheckpointPath and CheckpointEvery are rejected too: the monitor state
+// is not part of the checkpoint schema, and silently running one worker
+// without snapshots would betray what the caller asked for.
+//
+// The headline result: Bakery is FCFS (its fence-heavy doorway buys
+// fairness), while GT_f for f >= 2 is not — a process alone in its subtree
+// overtakes earlier arrivals from contended subtrees. Trading fences for
+// RMRs costs first-come-first-served fairness.
 //
 // Budget handling mirrors CheckMutexCtx: a degradable trip (states,
 // memory) continues with a seeded randomized search and the verdict
@@ -60,10 +66,7 @@ func CheckFCFSCtx(ctx context.Context, spec LockSpec, n int, model MemoryModel, 
 	if err != nil {
 		return nil, err
 	}
-	// Symmetry is forwarded so the engine rejects it loudly (the
-	// precedence monitor distinguishes processes).
-	chkOpts := check.Opts{Budget: opts.Budget, Faults: opts.Faults, Symmetry: opts.Symmetry}
-	res, cerr := subject.Exhaustive(ctx, model.internal(), chkOpts)
+	res, cerr := subject.Exhaustive(ctx, model.internal(), check.Opts{Budget: opts.Budget, Faults: opts.Faults})
 	v = &FCFSVerdict{
 		Lock:      spec,
 		Model:     model,
@@ -103,23 +106,4 @@ func CheckFCFSCtx(ctx context.Context, spec LockSpec, n int, model MemoryModel, 
 	default:
 		return nil, fmt.Errorf("fcfs %v: %w", spec, cerr)
 	}
-}
-
-// CheckFCFS exhaustively checks first-come-first-served fairness of the
-// lock for n processes (one passage each) under the given memory model.
-// The lock must declare a wait-free doorway (Bakery variants, Peterson,
-// GT_f); the tournament tree does not, and FCFS is undefined for it.
-// A tripped state budget yields an unproved verdict without error.
-//
-// The headline result: Bakery is FCFS (its fence-heavy doorway buys
-// fairness), while GT_f for f >= 2 is not — a process alone in its subtree
-// overtakes earlier arrivals from contended subtrees. Trading fences for
-// RMRs costs first-come-first-served fairness.
-func CheckFCFS(spec LockSpec, n int, model MemoryModel, maxStates int) (*FCFSVerdict, error) {
-	v, err := CheckFCFSCtx(context.Background(), spec, n, model,
-		CheckOptions{Budget: Budget{MaxStates: maxStates}})
-	if err != nil && v != nil && run.IsLimit(err) {
-		return v, nil
-	}
-	return v, err
 }

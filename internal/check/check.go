@@ -13,7 +13,6 @@ package check
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -36,10 +35,6 @@ type Subject struct {
 	// Layout is the register layout of the instrumented system (nil when
 	// the subject was hand-built); used to symbolize witness traces.
 	Layout *machine.Layout
-	// Sym is the lock's process-symmetry declaration (nil when the lock
-	// is not PID-symmetric); Opts.Symmetry keys the visited set on
-	// symmetry-canonical state encodings when it is set.
-	Sym *machine.SymmetrySpec
 	// Passages, when non-nil, names the passage-delimiting probe registers
 	// of a recoverable (RME) subject: each checker attaches a fresh
 	// machine.PassageLog to the configurations it builds and reports the
@@ -51,8 +46,7 @@ type Subject struct {
 	// initial configuration; the engine carries it along every explored
 	// path and folds it into the visited-set key, and Random feeds it too.
 	// A step the monitor flags is the run's violation. Monitored runs reject
-	// fault plans, symmetry, reductions and checkpoints (see
-	// Opts.unsupported).
+	// fault plans, reductions and checkpoints (see Opts.unsupported).
 	Monitor PathMonitor
 }
 
@@ -103,7 +97,6 @@ func NewMutexSubject(name string, ctor locks.Constructor, n, passages int) (*Sub
 		},
 		CSExit: csOut,
 		Layout: lay,
-		Sym:    lk.Symmetry(),
 	}, nil
 }
 
@@ -167,11 +160,6 @@ type Result struct {
 	// entries — sound, but it may revisit states behind them (States then
 	// overcounts the clean run).
 	VisitedReused bool
-	// SymmetryApplied reports whether a non-trivial process-symmetry
-	// reduction was in force: Opts.Symmetry was set AND the subject's
-	// lock declares a SymmetrySpec. False under Opts.Symmetry for
-	// non-symmetric locks (the flag is then an honest no-op).
-	SymmetryApplied bool
 	// ReorderBound echoes the reorder bound the exploration ran under
 	// (0 = full buffer semantics; SC runs report 0 even when a bound was
 	// requested — SC buffers are always empty, so the bound is an honest
@@ -183,10 +171,10 @@ type Result struct {
 	ReorderBound int
 	// PORApplied reports that ample-set partial-order reduction was in
 	// force; States then counts the reduced graph, the same at every
-	// worker count and after a resume (symmetric runs excepted; see
-	// ExhaustiveParallel). Verdicts are preserved exactly (the reduction
-	// is sound for the occupancy invariant), so a Complete violation-free
-	// POR run is still a full proof.
+	// worker count and after a resume (see ExhaustiveParallel). Verdicts
+	// are preserved exactly (the reduction is sound for the occupancy
+	// invariant), so a Complete violation-free POR run is still a full
+	// proof.
 	PORApplied bool
 	// Passages aggregates recoverable-passage RMR accounting when the
 	// subject declares passage probes (nil otherwise, and nil on resumed
@@ -230,74 +218,24 @@ func fillPassages(res *Result, log *machine.PassageLog) {
 // 16/(3/8) ≈ 43 bytes per key and the charge bounds it from above.
 const stateKeyOverhead = 48
 
-// keyer computes visited-set keys: the configuration's component-sum
-// StateKey with the spent crash budget and any path-monitor state folded
-// in as two more components. Under symmetry reduction it instead hashes
-// the orbit-canonical encoding, with the same run state appended, from a
-// reusable scratch buffer. One keyer per worker goroutine; a keyer is not
-// safe for concurrent use.
-type keyer struct {
-	buf       []byte
-	sym       *machine.SymmetrySpec
-	wantSym   bool
-	monitored bool
-	cz        *machine.Canonicalizer
-}
-
-func (s *Subject) newKeyer(opts Opts) *keyer {
-	return &keyer{wantSym: opts.Symmetry && s.Sym != nil, sym: s.Sym, monitored: s.Monitor != nil}
-}
-
-// reduces reports whether a non-trivial symmetry reduction is in force.
-func (k *keyer) reduces() bool { return k.wantSym }
-
-func (k *keyer) key(c *machine.Config, crashes, maxCrashes int, mon uint64) (machine.StateKey, error) {
-	if k.wantSym {
-		return k.symKey(c, crashes, maxCrashes, mon)
-	}
+// stateKey returns the visited-set key of a configuration: its
+// component-sum StateKey with the spent crash budget and any path-monitor
+// state folded in as two more components. Identical machine states with
+// different remaining crash budgets have different futures, and the
+// monitor state decides which later steps violate, so both are part of
+// the state; crash-free and unmonitored runs leave them out.
+func (s *Subject) stateKey(c *machine.Config, crashes, maxCrashes int, mon uint64) (machine.StateKey, error) {
 	key, err := c.StateKey()
 	if err != nil {
 		return machine.StateKey{}, err
 	}
-	// Identical machine states with different remaining crash budgets have
-	// different futures, and the monitor state decides which later steps
-	// violate, so both are part of the state; unmonitored and crash-free
-	// runs leave them out.
 	if maxCrashes > 0 {
 		key = key.Fold(machine.KeyTagCrashes, uint64(crashes))
 	}
-	if k.monitored {
+	if s.Monitor != nil {
 		key = key.Fold(machine.KeyTagMonitor, mon)
 	}
 	return key, nil
-}
-
-// symKey hashes the orbit-canonical state bytes with the run state
-// appended (appendRunState).
-func (k *keyer) symKey(c *machine.Config, crashes, maxCrashes int, mon uint64) (machine.StateKey, error) {
-	if k.cz == nil {
-		k.cz = machine.NewCanonicalizer(c.Layout(), c.N(), k.sym)
-	}
-	var err error
-	k.buf, err = k.cz.AppendCanonicalStateBytes(c, k.buf[:0])
-	if err != nil {
-		return machine.StateKey{}, err
-	}
-	k.buf = k.appendRunState(k.buf, crashes, maxCrashes, mon)
-	return machine.HashStateKey(k.buf), nil
-}
-
-// appendRunState appends the spent crash count (when the run has a crash
-// budget) and the monitor state (when monitored) to self-delimiting state
-// bytes: eight fixed-width monitor bytes last keep the encoding injective.
-func (k *keyer) appendRunState(buf []byte, crashes, maxCrashes int, mon uint64) []byte {
-	if maxCrashes > 0 {
-		buf = binary.AppendUvarint(buf, uint64(crashes))
-	}
-	if k.monitored {
-		buf = binary.LittleEndian.AppendUint64(buf, mon)
-	}
-	return buf
 }
 
 // Exhaustive explores every schedule of the subject under the given model,

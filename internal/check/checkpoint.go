@@ -40,7 +40,11 @@ import (
 // components' hashes instead of the hash of the whole encoding (see
 // machine.Config.StateKey), over the same fields (codec 1), so a v6
 // snapshot's shards and root key again hold values no current run mints.
-const CheckpointVersion = 7
+// Version 8 drops the symmetry mode with process-symmetry reduction: a v7
+// snapshot of a symmetric run holds orbit keys, which no current run mints
+// and which would otherwise decode (the field is ignored) and resume with
+// its shards dropped on a root-key mismatch.
+const CheckpointVersion = 8
 
 // EngineWSDFS names the work-stealing undo-log DFS engine inside
 // checkpoint snapshots. It is the only engine the current decoder
@@ -153,12 +157,6 @@ type Checkpoint struct {
 	// cannot prune soundly; resume rejects a mismatch with
 	// ErrCheckpointDrift.
 	Codec int `json:"codec"`
-	// Symmetry records whether the visited keys are orbit-canonical
-	// (process-symmetry reduction in force). A symmetric visited set
-	// under-approximates the concrete one and vice versa, so resume
-	// requires the same mode and rejects a mismatch with
-	// ErrCheckpointDrift.
-	Symmetry bool `json:"symmetry,omitempty"`
 	// ReorderBound is the resolved reorder bound the exploration ran under
 	// (0 = full buffer semantics; SC runs always record 0 — the honest
 	// no-op convention). Part of the certified identity: bounded visited
@@ -394,7 +392,7 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 // the queued stealable edges, the paused workers' serialized stacks, the
 // visited shards and the meter charges.
 func buildCheckpoint(policy *CheckpointPolicy, model machine.Model, identity, rootKey string,
-	symmetry bool, bound int, por bool, maxCrashes, gen int, frontier []CheckpointNode,
+	bound int, por bool, maxCrashes, gen int, frontier []CheckpointNode,
 	stacks []CheckpointStack, visited *machine.VisitedSet, meter *run.SharedMeter) *Checkpoint {
 	return &Checkpoint{
 		Version:      CheckpointVersion,
@@ -403,7 +401,6 @@ func buildCheckpoint(policy *CheckpointPolicy, model machine.Model, identity, ro
 		Model:        model.String(),
 		Identity:     identity,
 		Codec:        machine.StateKeyCodecVersion,
-		Symmetry:     symmetry,
 		ReorderBound: bound,
 		POR:          por,
 		RootFP:       rootKey,
@@ -445,10 +442,10 @@ type resumeState struct {
 // verified to replay on a fresh build, and the visited shards are reused
 // when the fresh root's StateKey reproduces the snapshot's (see
 // Checkpoint.RootFP — with stable binary keys this is the norm, including
-// across OS processes). Identity, model, crash-budget, codec, symmetry or
+// across OS processes). Identity, model, crash-budget, codec, reduction or
 // engine drift is rejected with ErrCheckpointDrift: the snapshot's pending
 // work and visited keys are meaningful only under the budget, codec,
-// canonicalization and engine they were minted with, so resuming under
+// reductions and engine they were minted with, so resuming under
 // different ones would either skip reachable states or prune on mismatched
 // keys. When the shards are dropped (root-key mismatch), the pending edges
 // still cover every unexplored successor, so the resumed run is sound but
@@ -462,10 +459,6 @@ func (s *Subject) loadCheckpoint(model machine.Model, ck *Checkpoint, maxCrashes
 	}
 	if maxCrashes != ck.MaxCrashes {
 		return nil, fmt.Errorf("%w: snapshot was taken under crash budget %d, resuming under %d", ErrCheckpointDrift, ck.MaxCrashes, maxCrashes)
-	}
-	kr := s.newKeyer(opts)
-	if kr.reduces() != ck.Symmetry {
-		return nil, fmt.Errorf("%w: snapshot keys minted with symmetry=%v, resuming with symmetry=%v", ErrCheckpointDrift, ck.Symmetry, kr.reduces())
 	}
 	bound := opts.Reduction.ReorderBound
 	if model == machine.SC {
@@ -484,7 +477,7 @@ func (s *Subject) loadCheckpoint(model machine.Model, ck *Checkpoint, maxCrashes
 	if id := root.IdentityFingerprint(); id != ck.Identity {
 		return nil, fmt.Errorf("%w: identity %s, snapshot has %s", ErrCheckpointDrift, id, ck.Identity)
 	}
-	rootKey, err := kr.key(root, 0, maxCrashes, 0)
+	rootKey, err := s.stateKey(root, 0, maxCrashes, 0)
 	if err != nil {
 		return nil, err
 	}

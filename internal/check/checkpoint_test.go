@@ -132,6 +132,11 @@ func TestCheckpointV5FailsClosed(t *testing.T) { requireOldVersionFailsClosed(t,
 // current run mints them either.
 func TestCheckpointV6FailsClosed(t *testing.T) { requireOldVersionFailsClosed(t, 6) }
 
+// TestCheckpointV7FailsClosed: a v7 snapshot may hold the orbit keys of a
+// process-symmetric run, which no current run mints; decoding would drop
+// its symmetry field, so the version alone must reject it.
+func TestCheckpointV7FailsClosed(t *testing.T) { requireOldVersionFailsClosed(t, 7) }
+
 func TestCheckpointValidation(t *testing.T) {
 	mut := func(f func(*Checkpoint)) *Checkpoint {
 		ck := sampleCheckpoint()

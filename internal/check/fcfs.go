@@ -163,10 +163,9 @@ type FCFSResult struct {
 // Exhaustive explores all schedules over the product of machine state and
 // precedence monitor — the engine at one worker (Subject.Exhaustive) —
 // bounded by opts.Budget and cancelled by ctx (budget trips return the
-// partial result with a structured error). Fault plans, symmetry,
-// state-space reductions and checkpoints are rejected (see
-// Opts.unsupported): the monitor is not crash-aware, indexes processes,
-// and changes on steps the commit-independence relation treats as
+// partial result with a structured error). Fault plans, state-space
+// reductions and checkpoints are rejected (see Opts.unsupported): the
+// monitor is not crash-aware and changes on steps the commit-independence relation treats as
 // invisible.
 func (s *FCFSSubject) Exhaustive(ctx context.Context, model machine.Model, opts Opts) (FCFSResult, error) {
 	res, err := s.Subject.Exhaustive(ctx, model, opts)

@@ -12,31 +12,25 @@ import (
 
 // keyBytesDigest walks every configuration the clone reference walker
 // reaches from the subject's root and returns the SHA-256 digest of their
-// distinct reference key bytes — the machine encoding (orbit-canonical
-// under opts.Symmetry) plus the folded crash count — sorted and each
-// prefixed with its length, together with the number of distinct keys.
-// The walk must prove the subject, so the digest covers the whole
-// reachable state space. The keyer sums component hashes and produces no
-// bytes on the unreduced path, so there the reference bytes are built
-// here: AppendStateBytes with the run state appended as symKey appends it.
+// distinct reference key bytes — the machine encoding plus the folded run
+// state (appendRunState) — sorted and each prefixed with its length,
+// together with the number of distinct keys. The walk must prove the
+// subject, so the digest covers the whole reachable state space. The
+// engine's key sums component hashes and produces no bytes, so the
+// reference bytes are built here.
 func keyBytesDigest(s *Subject, model machine.Model, opts Opts) (string, int, error) {
-	k := s.newKeyer(opts)
 	var enc machine.KeyEncoder
 	var buf []byte
 	seen := make(map[string]struct{}, 1024)
 	keyOf := func(c *machine.Config, crashes, maxCrashes int, mon uint64) (machine.StateKey, error) {
-		key, err := k.key(c, crashes, maxCrashes, mon)
+		key, err := s.stateKey(c, crashes, maxCrashes, mon)
 		if err != nil {
 			return key, err
 		}
-		if k.reduces() {
-			buf = k.buf
-		} else {
-			if buf, err = enc.AppendStateBytes(c, buf[:0]); err != nil {
-				return key, err
-			}
-			buf = k.appendRunState(buf, crashes, maxCrashes, mon)
+		if buf, err = enc.AppendStateBytes(c, buf[:0]); err != nil {
+			return key, err
 		}
+		buf = appendRunState(buf, crashes, maxCrashes, s.Monitor != nil, mon)
 		seen[string(buf)] = struct{}{}
 		return key, nil
 	}
@@ -59,4 +53,17 @@ func keyBytesDigest(s *Subject, model machine.Model, opts Opts) (string, int, er
 		h.Write([]byte(b))
 	}
 	return hex.EncodeToString(h.Sum(nil)), len(keys), nil
+}
+
+// appendRunState appends the spent crash count (when the run has a crash
+// budget) and the monitor state (when monitored) to self-delimiting state
+// bytes: eight fixed-width monitor bytes last keep the encoding injective.
+func appendRunState(buf []byte, crashes, maxCrashes int, monitored bool, mon uint64) []byte {
+	if maxCrashes > 0 {
+		buf = binary.AppendUvarint(buf, uint64(crashes))
+	}
+	if monitored {
+		buf = binary.LittleEndian.AppendUint64(buf, mon)
+	}
+	return buf
 }

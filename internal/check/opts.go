@@ -33,30 +33,16 @@ type Opts struct {
 	// crash budget is present.
 	CrashProb float64
 
-	// Symmetry enables process-symmetry reduction: the visited set is
-	// keyed on the canonical representative of each state's orbit under
-	// process renaming, so mirror-image states are explored once. The
-	// exploration itself stays concrete — witnesses are ordinary
-	// schedules that replay directly. The reduction only applies to
-	// subjects whose lock declares a SymmetrySpec (Peterson variants);
-	// for all others the flag is an honest no-op (identity
-	// canonicalization, bit-identical to Symmetry=false). Rejected by
-	// FCFS checking, whose precedence monitor distinguishes processes, and
-	// by the liveness analysis. Result.SymmetryApplied reports whether a
-	// real reduction was in force.
-	Symmetry bool
-
 	// Workers sizes the worker pool of the work-stealing engine
 	// (ExhaustiveParallel). 0 resolves to runtime.NumCPU(); an explicit 1
 	// runs single-threaded, which is exactly Exhaustive (verdict, witness
 	// schedule, state count and budget-trip point). With more than one
 	// worker, verdicts and complete-run state counts stay exact, POR
-	// included (POR counts under symmetry keying excepted), but which
-	// witness is found first and where a budget trips become
-	// scheduling-dependent. Negative values
-	// behave like 1. Exhaustive ignores this field: it always runs one
-	// worker. CheckProgress rejects values above 1: its graph is recorded
-	// by a single worker.
+	// included, but which witness is found first and where a budget trips
+	// become scheduling-dependent. Negative values behave like 1.
+	// Exhaustive ignores this field: it always runs one worker.
+	// CheckProgress rejects values above 1: its graph is recorded by a
+	// single worker.
 	Workers int
 
 	// Checkpoint enables periodic snapshots of the parallel explorer's
@@ -114,9 +100,8 @@ type Reduction struct {
 	// proviso: a fence of a program with a fence-only loop is never ample
 	// (lang.Program.FenceOnlyLoop). Reduced state counts therefore depend
 	// only on the subject, the model and the options — the same at every
-	// worker count and after a resume, except under symmetry keying, where
-	// they are not claimed exact. Verdicts and witness replayability are
-	// preserved (parity suite); state counts shrink. Complete
+	// worker count and after a resume. Verdicts and witness replayability
+	// are preserved (parity suite); state counts shrink. Complete
 	// violation-free runs remain full proofs.
 	POR bool
 }
@@ -138,18 +123,16 @@ func (r Reduction) validate() error {
 // unsupported rejects, naming the first one set, the options that the
 // engine's two analyses besides occupancy — FCFS's path monitor and the
 // liveness graph — cannot honour. Both are defined for crash-free
-// executions. Neither is covered by the symmetry and reduction soundness
-// arguments, which are made for the occupancy invariant: the FCFS monitor
-// indexes processes, the ample relation ignores monitor state, and a
-// reduced graph drops edges deadlock freedom must see. Neither state is
+// executions. Neither is covered by the reduction soundness arguments,
+// which are made for the occupancy invariant: the ample relation ignores
+// monitor state, and a reduced graph drops edges deadlock freedom must
+// see. Neither state is
 // part of the checkpoint schema. oneWorker also rejects Workers > 1, for
 // the liveness graph, which a single worker records.
 func (o Opts) unsupported(what string, oneWorker bool) error {
 	switch {
 	case !o.Faults.Empty():
 		return errors.New("check: " + what + " is defined for fault-free executions only")
-	case o.Symmetry:
-		return errors.New("check: " + what + " does not support symmetry reduction (Opts.Symmetry)")
 	case o.Reduction.Enabled():
 		return errors.New("check: " + what + " does not support state-space reduction (Reduction.ReorderBound/POR); reductions are certified for exhaustive mutual-exclusion checking only")
 	case o.Checkpoint != nil:

@@ -34,9 +34,7 @@
 // static; see por.go), and after a resume from a barrier snapshot — the
 // state count and step total are still exact, but traversal order is
 // scheduling-dependent: which violation witness is found first, and where
-// a budget trips, may vary between runs. POR counts under symmetry keying
-// are left out of the exactness claim (see ExhaustiveParallel). Snapshots
-// name this engine (Checkpoint.Engine) and carry the current
+// a budget trips, may vary between runs. Snapshots name this engine (Checkpoint.Engine) and carry the current
 // CheckpointVersion; a snapshot of any other version or engine fails
 // closed with ErrCheckpointDrift.
 package check
@@ -152,7 +150,6 @@ type wsEngine struct {
 	policy     *CheckpointPolicy
 	identity   string
 	rootKey    string
-	symmetry   bool
 	bound      int  // resolved reorder bound (0 under SC: honest no-op)
 	por        bool // ample-set partial-order reduction in force
 
@@ -189,7 +186,6 @@ type wsWorker struct {
 	id      int
 	e       *wsEngine
 	cfg     *machine.Config
-	kr      *keyer
 	path    machine.Schedule
 	trail   []machine.Undo
 	frames  []wsFrame
@@ -225,16 +221,14 @@ type wsWorker struct {
 // Their cycle proviso is decided from the program, not from the run, so a
 // node's ample set depends only on its configuration: complete POR runs
 // visit the same states at every worker count and after any resume.
-// Under symmetry keying the orbit member a worker reaches first picks the
-// ample set, so symmetric POR counts are not claimed exact; verdicts are.
 func (s *Subject) ExhaustiveParallel(ctx context.Context, model machine.Model, opts Opts) (Result, error) {
 	return s.runWS(ctx, model, opts, nil, nil)
 }
 
 // ResumeExhaustiveParallel continues an exploration from a decoded
 // checkpoint. The snapshot is re-certified first: the memory model, the
-// subject's identity hash, the crash budget, the key codec, the symmetry
-// mode and the engine must match (ErrCheckpointDrift otherwise), and every
+// subject's identity hash, the crash budget, the key codec, the reduction
+// modes and the engine must match (ErrCheckpointDrift otherwise), and every
 // pending schedule must replay on a fresh build. Meter usage is preloaded
 // so opts.Budget spans the whole logical run; the wall clock restarts (see
 // run.SharedMeter.Preload). A barrier snapshot's frontier edges are
@@ -293,7 +287,6 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 		e.stateBytes += graphNodeBytes
 	}
 	e.cond = sync.NewCond(&e.mu)
-	e.symmetry = s.newKeyer(opts).reduces()
 	// Resolve the reorder bound once, mirroring Config.SetReorderBound's
 	// honest-no-op convention: SC buffers are always empty, so the bound is
 	// reported (and certified) as 0 there.
@@ -302,10 +295,9 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 	}
 	e.por = opts.Reduction.POR
 	res := Result{
-		Complete:        true,
-		SymmetryApplied: e.symmetry,
-		ReorderBound:    e.bound,
-		PORApplied:      e.por,
+		Complete:     true,
+		ReorderBound: e.bound,
+		PORApplied:   e.por,
 	}
 
 	if e.policy != nil || rs != nil {
@@ -315,8 +307,7 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 		}
 		fresh.SetReorderBound(e.bound)
 		e.identity = fresh.IdentityFingerprint()
-		kr := s.newKeyer(opts)
-		rk, err := kr.key(fresh, 0, maxCrashes, 0)
+		rk, err := s.stateKey(fresh, 0, maxCrashes, 0)
 		if err != nil {
 			return Result{}, err
 		}
@@ -362,7 +353,7 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 						Err: fmt.Errorf("panic: %v", r)})
 				}
 			}()
-			w := &wsWorker{id: id, e: e, kr: s.newKeyer(opts), lastGen: e.genFlag.Load()}
+			w := &wsWorker{id: id, e: e, lastGen: e.genFlag.Load()}
 			cfg, err := s.Build(model)
 			if err != nil {
 				e.fail(err)
@@ -622,7 +613,7 @@ func (e *wsEngine) snapshotLocked() error {
 	if len(frontier) == 0 && len(stacks) == 0 {
 		return nil
 	}
-	ck := buildCheckpoint(e.policy, e.model, e.identity, e.rootKey, e.symmetry,
+	ck := buildCheckpoint(e.policy, e.model, e.identity, e.rootKey,
 		e.bound, e.por, e.maxCrashes, e.gen+1, frontier, stacks, e.visited, e.meter)
 	if err := saveCheckpoint(ck, e.policy.Path); err != nil {
 		return err
@@ -893,7 +884,7 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 // fresh state or not.
 func (w *wsWorker) visit(crashes int, mon uint64) (pushed bool, err error) {
 	e := w.e
-	key, err := w.kr.key(w.cfg, crashes, e.maxCrashes, mon)
+	key, err := e.s.stateKey(w.cfg, crashes, e.maxCrashes, mon)
 	if err != nil {
 		return false, err
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"tradingfences/internal/locks"
@@ -21,17 +20,16 @@ var parityPairs = []struct {
 	name string
 	ctor locks.Constructor
 	n    int
-	sym  bool // declares a SymmetrySpec (reduction is real, not a no-op)
 }{
-	{"peterson", locks.NewPeterson, 2, true},
-	{"peterson-tso", locks.NewPetersonTSO, 2, true},
-	{"peterson-nofence", locks.NewPetersonNoFence, 2, true},
-	{"bakery", locks.NewBakery, 2, false},
-	{"bakery-tso", locks.NewBakeryTSO, 2, false},
-	{"bakery-literal", locks.NewBakeryLiteral, 2, false},
-	{"bakery-nofence", locks.NewBakeryNoFence, 2, false},
-	{"tournament", locks.NewTournament, 2, false},
-	{"filter", locks.NewFilter, 2, false},
+	{"peterson", locks.NewPeterson, 2},
+	{"peterson-tso", locks.NewPetersonTSO, 2},
+	{"peterson-nofence", locks.NewPetersonNoFence, 2},
+	{"bakery", locks.NewBakery, 2},
+	{"bakery-tso", locks.NewBakeryTSO, 2},
+	{"bakery-literal", locks.NewBakeryLiteral, 2},
+	{"bakery-nofence", locks.NewBakeryNoFence, 2},
+	{"tournament", locks.NewTournament, 2},
+	{"filter", locks.NewFilter, 2},
 }
 
 // requireViolationReplays replays a witness schedule and demands that it
@@ -100,155 +98,6 @@ func TestBinaryKeysMatchLegacyAtBudgetTrip(t *testing.T) {
 	requireSameResult(t, "budget trip", binary, legacy)
 }
 
-// TestSymmetryVerdictParity: enabling symmetry must never change a
-// verdict. For locks without a declaration it is a bit-identical no-op;
-// for Peterson variants it is a real reduction — never more states, and
-// any violation witness is a concrete schedule that replays.
-func TestSymmetryVerdictParity(t *testing.T) {
-	for _, tc := range parityPairs {
-		for _, m := range allModels {
-			what := tc.name + "/" + m.String()
-			s := mustSubject(t, tc.name, tc.ctor, tc.n)
-			base, berr := s.Exhaustive(bg(), m, Opts{})
-			sym, serr := s.Exhaustive(bg(), m, Opts{Symmetry: true})
-			if (berr == nil) != (serr == nil) {
-				t.Fatalf("%s: error mismatch: %v vs %v", what, berr, serr)
-			}
-			if sym.SymmetryApplied != tc.sym {
-				t.Fatalf("%s: SymmetryApplied = %v, want %v", what, sym.SymmetryApplied, tc.sym)
-			}
-			if !tc.sym {
-				requireSameResult(t, what+" (no-op symmetry)", base, sym)
-				continue
-			}
-			if base.Violation != sym.Violation || base.Complete != sym.Complete {
-				t.Fatalf("%s: verdict flipped under symmetry: (viol=%v complete=%v) vs (viol=%v complete=%v)",
-					what, base.Violation, base.Complete, sym.Violation, sym.Complete)
-			}
-			if sym.States > base.States {
-				t.Fatalf("%s: symmetry grew the state space: %d > %d", what, sym.States, base.States)
-			}
-			if base.Complete && !base.Violation && sym.States >= base.States {
-				t.Fatalf("%s: proved run shows no reduction: %d orbits vs %d states",
-					what, sym.States, base.States)
-			}
-			if sym.Violation {
-				requireViolationReplays(t, what, s, m, sym.Witness)
-			}
-		}
-	}
-}
-
-// TestSymmetryParallelParity: the parallel explorer applies the same
-// orbit keys — verdict and orbit count match the one-worker symmetric
-// run on proved subjects, and violations carry replayable witnesses.
-func TestSymmetryParallelParity(t *testing.T) {
-	s := mustSubject(t, "peterson", locks.NewPeterson, 2)
-	seq, err := s.Exhaustive(bg(), machine.PSO, Opts{Symmetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := s.ExhaustiveParallel(bg(), machine.PSO, Opts{Symmetry: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.SymmetryApplied || par.Violation != seq.Violation || par.Complete != seq.Complete || par.States != seq.States {
-		t.Fatalf("parallel symmetric run diverged: %+v vs %+v", par, seq)
-	}
-
-	bad := mustSubject(t, "peterson-nofence", locks.NewPetersonNoFence, 2)
-	res, err := bad.ExhaustiveParallel(bg(), machine.PSO, Opts{Symmetry: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Violation {
-		t.Fatal("peterson-nofence not violated under PSO with symmetry")
-	}
-	requireViolationReplays(t, "peterson-nofence/PSO", bad, machine.PSO, res.Witness)
-}
-
-// TestSymmetryCheckpointCertification: snapshots certify the key mode.
-// A symmetric snapshot resumes only symmetrically; flipping the flag in
-// either direction is ErrCheckpointDrift, and the matching resume lands
-// on the clean verdict bit for bit.
-func TestSymmetryCheckpointCertification(t *testing.T) {
-	s := mustSubject(t, "peterson", locks.NewPeterson, 2)
-	clean, err := s.ExhaustiveParallel(bg(), machine.PSO, Opts{Symmetry: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ck.json")
-	kill := func(gen, worker int) error {
-		if gen >= 1 {
-			return errors.New("chaos")
-		}
-		return nil
-	}
-	if _, err := s.ExhaustiveParallel(bg(), machine.PSO, Opts{
-		Symmetry: true, Workers: 2, WorkerFault: kill,
-		Checkpoint: &CheckpointPolicy{Path: path, EveryStates: 16},
-	}); err == nil {
-		t.Fatal("expected chaos kill")
-	}
-	ck, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ck.Symmetry {
-		t.Fatal("symmetric snapshot not certified as symmetric")
-	}
-
-	// Dropping the flag at resume time is drift: the visited keys are
-	// orbit representatives a plain explorer cannot reproduce.
-	if _, err := s.ResumeExhaustiveParallel(bg(), machine.PSO, ck, Opts{Workers: 2}); !errors.Is(err, ErrCheckpointDrift) {
-		t.Fatalf("symmetry drop not rejected: %v", err)
-	}
-	resumed, err := s.ResumeExhaustiveParallel(bg(), machine.PSO, ck, Opts{Symmetry: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The clean run is a complete proof, so the resumed orbit count and
-	// (empty) witness must match it exactly even at two workers.
-	requireSameResult(t, "symmetric resume", clean, resumed)
-
-	// The reverse flip: a plain snapshot must not resume symmetrically.
-	plainPath := filepath.Join(t.TempDir(), "plain.json")
-	if _, err := s.ExhaustiveParallel(bg(), machine.PSO, Opts{
-		Workers: 2, WorkerFault: kill,
-		Checkpoint: &CheckpointPolicy{Path: plainPath, EveryStates: 16},
-	}); err == nil {
-		t.Fatal("expected chaos kill")
-	}
-	plain, err := ReadCheckpoint(plainPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Symmetry {
-		t.Fatal("plain snapshot certified as symmetric")
-	}
-	if _, err := s.ResumeExhaustiveParallel(bg(), machine.PSO, plain, Opts{Symmetry: true, Workers: 2}); !errors.Is(err, ErrCheckpointDrift) {
-		t.Fatalf("symmetry add not rejected: %v", err)
-	}
-
-	// On a lock with no declaration the flag is a no-op, so a snapshot
-	// taken without it resumes under it: both sides key identically.
-	b := mustSubject(t, "bakery", locks.NewBakery, 2)
-	bcleanPath := filepath.Join(t.TempDir(), "bakery.json")
-	if _, err := b.ExhaustiveParallel(bg(), machine.PSO, Opts{
-		Workers: 2, WorkerFault: kill,
-		Checkpoint: &CheckpointPolicy{Path: bcleanPath, EveryStates: 16},
-	}); err == nil {
-		t.Fatal("expected chaos kill")
-	}
-	bck, err := ReadCheckpoint(bcleanPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.ResumeExhaustiveParallel(bg(), machine.PSO, bck, Opts{Symmetry: true, Workers: 2}); err != nil {
-		t.Fatalf("no-op symmetry flag rejected a compatible snapshot: %v", err)
-	}
-}
-
 // fingerprintKey keys a state on its legacy string fingerprint, the
 // reference partition the binary codec must reproduce. Only unmonitored
 // subjects are keyed this way, so it ignores the monitor state.
@@ -276,7 +125,7 @@ func fingerprintKey(c *machine.Config, crashes, maxCrashes int, _ uint64) (machi
 // each taken step before the target is keyed, and a flagged step ends the
 // walk with the witness path+e — and ignores POR.
 func cloneExhaustive(ctx context.Context, s *Subject, model machine.Model, opts Opts) (Result, error) {
-	return cloneWalk(ctx, s, model, opts, s.newKeyer(opts).key)
+	return cloneWalk(ctx, s, model, opts, s.stateKey)
 }
 
 // cloneWalk is cloneExhaustive with the visited set keyed by keyOf.
@@ -295,9 +144,8 @@ func cloneWalk(ctx context.Context, s *Subject, model machine.Model, opts Opts,
 	meter := run.NewMeter(ctx, opts.Budget)
 	visited := make(map[machine.StateKey]struct{}, 1024)
 	res := Result{
-		Complete:        true,
-		SymmetryApplied: opts.Symmetry && s.Sym != nil,
-		ReorderBound:    root.ReorderBound(),
+		Complete:     true,
+		ReorderBound: root.ReorderBound(),
 	}
 
 	var dfs func(c *machine.Config, path machine.Schedule, crashes int, mon uint64) (bool, error)
@@ -445,30 +293,6 @@ func TestUndoExplorerMatchesCloneReferenceWithCrashes(t *testing.T) {
 	}
 }
 
-// TestUndoExplorerMatchesCloneReferenceUnderSymmetry: parity also holds
-// when the visited set is keyed on symmetry orbits (the canonicalizer
-// re-reads the configuration the undo trail restores) — across the whole
-// suite, where locks without a declaration make the flag a no-op.
-func TestUndoExplorerMatchesCloneReferenceUnderSymmetry(t *testing.T) {
-	opts := Opts{Symmetry: true}
-	for _, tc := range parityPairs {
-		for _, m := range allModels {
-			what := tc.name + "/" + m.String() + "/symmetry"
-			s := mustSubject(t, tc.name, tc.ctor, tc.n)
-			undo, uerr := s.Exhaustive(bg(), m, opts)
-			ref, rerr := cloneExhaustive(bg(), s, m, opts)
-			if (uerr == nil) != (rerr == nil) {
-				t.Fatalf("%s: error mismatch: %v vs %v", what, uerr, rerr)
-			}
-			requireSameResult(t, what, undo, ref)
-			requireSameInCS(t, what, undo, ref)
-			if undo.SymmetryApplied != ref.SymmetryApplied {
-				t.Fatalf("%s: SymmetryApplied mismatch", what)
-			}
-		}
-	}
-}
-
 // TestUndoExplorerMatchesCloneReferenceAtBudgetTrip: equal exploration
 // order means a MaxStates budget must trip both explorers at exactly the
 // same state with the same partial result.
@@ -487,8 +311,8 @@ func TestUndoExplorerMatchesCloneReferenceAtBudgetTrip(t *testing.T) {
 	}
 }
 
-// TestWSWorkersOneMatchesSequentialSuite: across the full lock suite, all
-// three models and the symmetry knob, a single work-stealing worker is
+// TestWSWorkersOneMatchesSequentialSuite: across the full lock suite and
+// all three models, a single work-stealing worker is
 // bit-identical to the clone reference walker — verdicts, witness
 // schedules, co-residency sets and state counts — and never donates or
 // steals. This is the engine's determinism anchor: workers=1 takes the
@@ -497,22 +321,17 @@ func TestUndoExplorerMatchesCloneReferenceAtBudgetTrip(t *testing.T) {
 func TestWSWorkersOneMatchesSequentialSuite(t *testing.T) {
 	for _, tc := range parityPairs {
 		for _, m := range allModels {
-			for _, sym := range []bool{false, true} {
-				what := fmt.Sprintf("%s/%v/symmetry=%t", tc.name, m, sym)
-				s := mustSubject(t, tc.name, tc.ctor, tc.n)
-				ref, rerr := cloneExhaustive(bg(), s, m, Opts{Symmetry: sym})
-				par, perr := s.ExhaustiveParallel(bg(), m, Opts{Symmetry: sym, Workers: 1})
-				if (rerr == nil) != (perr == nil) {
-					t.Fatalf("%s: error mismatch: %v vs %v", what, rerr, perr)
-				}
-				requireSameResult(t, what, ref, par)
-				requireSameInCS(t, what, ref, par)
-				if par.SymmetryApplied != ref.SymmetryApplied {
-					t.Fatalf("%s: SymmetryApplied mismatch", what)
-				}
-				if es := par.Engine; es == nil || es.Workers != 1 || es.Steals != 0 || es.Donated != 0 {
-					t.Fatalf("%s: a single worker has nobody to steal from: %+v", what, es)
-				}
+			what := fmt.Sprintf("%s/%v", tc.name, m)
+			s := mustSubject(t, tc.name, tc.ctor, tc.n)
+			ref, rerr := cloneExhaustive(bg(), s, m, Opts{})
+			par, perr := s.ExhaustiveParallel(bg(), m, Opts{Workers: 1})
+			if (rerr == nil) != (perr == nil) {
+				t.Fatalf("%s: error mismatch: %v vs %v", what, rerr, perr)
+			}
+			requireSameResult(t, what, ref, par)
+			requireSameInCS(t, what, ref, par)
+			if es := par.Engine; es == nil || es.Workers != 1 || es.Steals != 0 || es.Donated != 0 {
+				t.Fatalf("%s: a single worker has nobody to steal from: %+v", what, es)
 			}
 		}
 	}
@@ -579,21 +398,4 @@ func TestWSCheckpointResumeWorkersOneBitParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "workers=1 kill/resume", ref, resumed)
-}
-
-// TestFCFSRejectsSymmetry: the precedence monitor tracks which concrete
-// process arrived first, so process renaming is not an automorphism of
-// the product space — both FCFS explorers must refuse the flag loudly
-// instead of silently ignoring it.
-func TestFCFSRejectsSymmetry(t *testing.T) {
-	s, err := NewFCFSSubject("peterson", locks.NewPeterson, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exhaustive(bg(), machine.PSO, Opts{Symmetry: true}); err == nil || !strings.Contains(err.Error(), "symmetry") {
-		t.Fatalf("exhaustive FCFS accepted symmetry: %v", err)
-	}
-	if _, err := s.Random(bg(), machine.PSO, newTestRng(1), 2, 50, 0.5, Opts{Symmetry: true}); err == nil || !strings.Contains(err.Error(), "symmetry") {
-		t.Fatalf("random FCFS accepted symmetry: %v", err)
-	}
 }

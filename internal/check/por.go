@@ -30,8 +30,8 @@ import (
 // visiting order.
 // Reads are never ample: they observe shared memory.
 //
-// The reduction composes with symmetry keying, adversarial crash budgets
-// and the reorder bound; the randomized fallback never runs reduced.
+// The reduction composes with adversarial crash budgets and the reorder
+// bound; the randomized fallback never runs reduced.
 
 // ampleCandidate returns the lowest process whose enabled transitions are
 // all process-local — empty write buffer and poised at a buffered write

@@ -61,8 +61,8 @@ type ProgressResult struct {
 // cancelled by ctx. When the state budget trips, the analysis finishes on
 // the truncated graph (Complete=false, DeadlockFree=false — proving
 // nothing) and the partial result is returned together with the
-// *run.BudgetError. Fault plans, symmetry, state-space reductions,
-// checkpoints and Workers > 1 are rejected (see Opts.unsupported).
+// *run.BudgetError. Fault plans, state-space reductions, checkpoints and
+// Workers > 1 are rejected (see Opts.unsupported).
 func (s *Subject) CheckProgress(ctx context.Context, model machine.Model, opts Opts) (*ProgressResult, error) {
 	if err := opts.unsupported("liveness analysis", true); err != nil {
 		return nil, err

@@ -279,7 +279,6 @@ func TestProgressRejectsUnsupportedOptions(t *testing.T) {
 		opts Opts
 		name string
 	}{
-		{Opts{Symmetry: true}, "Symmetry"},
 		{Opts{Workers: 2}, "Workers"},
 		{Opts{Checkpoint: &CheckpointPolicy{Path: filepath.Join(t.TempDir(), "ck.json")}}, "Checkpoint"},
 	} {

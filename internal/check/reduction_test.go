@@ -13,20 +13,18 @@ import (
 )
 
 // porOpts enumerates the option axes the POR parity suite crosses with the
-// lock suite and the memory models: crash budgets and symmetry keying.
+// lock suite and the memory models: crash budgets.
 var porOptAxes = []struct {
 	name string
 	base Opts
 }{
 	{"plain", Opts{}},
 	{"crash1", Opts{Faults: &machine.FaultPlan{MaxCrashes: 1}}},
-	{"sym", Opts{Symmetry: true}},
-	{"sym-crash1", Opts{Symmetry: true, Faults: &machine.FaultPlan{MaxCrashes: 1}}},
 }
 
 // TestPORVerdictParity: commit-step partial-order reduction must preserve
 // every verdict of the unreduced explorer across the whole lock suite, all
-// three models, adversarial crash budgets and symmetry keying — with never
+// three models and adversarial crash budgets — with never
 // more states, and with violation witnesses that replay concretely.
 func TestPORVerdictParity(t *testing.T) {
 	for _, tc := range parityPairs {
@@ -230,7 +228,7 @@ func TestReorderBoundComposesPOR(t *testing.T) {
 // verdict at one worker and at several, across the lock suite and models.
 // Complete reduced runs never exceed the unreduced count, and at two
 // workers they visit exactly the one-worker count (the cycle proviso is
-// static; no symmetry here, whose POR counts are not claimed exact).
+// static).
 // Violations carry replayable witnesses.
 func TestPORParallelParity(t *testing.T) {
 	for _, tc := range parityPairs {

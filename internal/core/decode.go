@@ -557,7 +557,7 @@ func soloTerminates(c *machine.Config, p int, maxSteps int) (bool, error) {
 		if _, _, err := clone.NextOp(p); err != nil { // settle before keying
 			return false, err
 		}
-		key = clone.Proc(p).AppendStateKey(key[:0], nil)
+		key = clone.Proc(p).AppendStateKey(key[:0])
 		regs = clone.AppendBufferRegs(p, regs[:0])
 		key = binary.AppendUvarint(key, uint64(len(regs)))
 		for _, r := range regs {

@@ -101,7 +101,7 @@ type ProcState struct {
 	err error
 
 	// key caches the settled or halted state's key component input —
-	// KeyTagProc, the PID as a uvarint, then the unrenamed AppendStateKey
+	// KeyTagProc, the PID as a uvarint, then the AppendStateKey
 	// segment — and keyHash its hash; both are valid iff keyOK. Every
 	// mutation of encoded state (advance, CompleteReturn) clears keyOK;
 	// CopyFrom carries the cache and Clone drops it.

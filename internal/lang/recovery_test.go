@@ -164,7 +164,7 @@ func TestStateKeyRecoverySections(t *testing.T) {
 		if _, _, err := s.NextOp(); err != nil {
 			t.Fatal(err)
 		}
-		return s.AppendStateKey(nil, nil)
+		return s.AppendStateKey(nil)
 	}
 	fresh := run(false, 0)
 	rec0 := run(true, 0)

@@ -45,7 +45,7 @@ func settled(t *testing.T, p *Program, pid int) *ProcState {
 // word (GT_f at n=256 already binds 56 locals).
 func TestLocalsBeyondOneBitsetWord(t *testing.T) {
 	p := wideProgram()
-	if got := len(p.LocalNames()); got != 71 {
+	if got := len(p.index().localNames); got != 71 {
 		t.Fatalf("%d locals, want 71", got)
 	}
 	unbound, bound := settled(t, p, 0), settled(t, p, 1)
@@ -84,10 +84,10 @@ func TestLocalsBeyondOneBitsetWord(t *testing.T) {
 		}
 		return string(b)
 	}
-	if got := string(unbound.AppendStateKey(nil, nil)); got != want(false) {
+	if got := string(unbound.AppendStateKey(nil)); got != want(false) {
 		t.Errorf("unbound slot 65: key %x, want %x", got, want(false))
 	}
-	if got := string(bound.AppendStateKey(nil, nil)); got != want(true) {
+	if got := string(bound.AppendStateKey(nil)); got != want(true) {
 		t.Errorf("slot 65 bound to 0: key %x, want %x", got, want(true))
 	}
 
@@ -105,7 +105,7 @@ func TestLocalsBeyondOneBitsetWord(t *testing.T) {
 	if got := ns.Local("v69"); got != 0 {
 		t.Errorf("volatile v69 after crash = %d, want 0", got)
 	}
-	key := ns.AppendStateKey(nil, nil)
+	key := ns.AppendStateKey(nil)
 	tail := binary.AppendUvarint(nil, 1)  // one bound local...
 	tail = binary.AppendUvarint(tail, 66) // ...in slot 66...
 	tail = binary.AppendVarint(tail, 67)  // ...holding 67.
@@ -119,7 +119,7 @@ func TestLocalsBeyondOneBitsetWord(t *testing.T) {
 // process's key. Run under -race.
 func TestConcurrentCompile(t *testing.T) {
 	shared := wideProgram()
-	want := string(settled(t, wideProgram(), 1).AppendStateKey(nil, nil))
+	want := string(settled(t, wideProgram(), 1).AppendStateKey(nil))
 	const workers = 8
 	keys := make(chan string, 2*workers)
 	var wg sync.WaitGroup
@@ -133,7 +133,7 @@ func TestConcurrentCompile(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				keys <- string(s.AppendStateKey(nil, nil))
+				keys <- string(s.AppendStateKey(nil))
 			}
 		}()
 	}
@@ -158,7 +158,7 @@ func TestCompiledProgramIsCollectable(t *testing.T) {
 		if _, _, err := s.NextOp(); err != nil {
 			t.Fatal(err)
 		}
-		_ = s.AppendStateKey(nil, nil)
+		_ = s.AppendStateKey(nil)
 		runtime.SetFinalizer(p, func(*Program) { close(freed) })
 	}()
 	deadline := time.After(5 * time.Second)

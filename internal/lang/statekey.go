@@ -208,10 +208,6 @@ func (ci *codeIndex) slotOf(name string) (int, bool) {
 	return i, i < len(ci.localNames) && ci.localNames[i] == name
 }
 
-// LocalNames returns the local variables the program can bind, sorted.
-// The returned slice is shared; callers must not modify it.
-func (p *Program) LocalNames() []string { return p.index().localNames }
-
 // FenceOnlyLoop reports whether some fence's innermost enclosing while
 // loop has no read, write, TAS or return at the top level of its body.
 // Only such a fence can be reached again through fences and local
@@ -267,20 +263,14 @@ const (
 // future schedules. Program points are encoded as the code index's
 // stable IDs, so the encoding is reproducible across OS processes.
 //
-// rename, when non-nil, maps each bound local's value before encoding,
-// given the local's slot (its index in Program.LocalNames); the machine's
-// process-symmetry canonicalization uses it to rename PID-typed locals.
 // Callers must settle the state first (call NextOp) so pending local
 // computation does not make semantically equal states look different.
 //
-// Without a rename, the encoding of a settled or halted state is cached in
-// the state, together with its KeyHash, and later calls copy it until the
-// state next changes: a step changes one process, and the other
-// processes' segments are copied, not re-encoded.
-func (s *ProcState) AppendStateKey(buf []byte, rename func(slot int, v Value) Value) []byte {
-	if rename != nil {
-		return s.appendStateKey(buf, rename)
-	}
+// The encoding of a settled or halted state is cached in the state,
+// together with its KeyHash, and later calls copy it until the state next
+// changes: a step changes one process, and the other processes' segments
+// are copied, not re-encoded.
+func (s *ProcState) AppendStateKey(buf []byte) []byte {
 	s.refreshKey()
 	return append(buf, s.key[1+uvarintLen(uint64(s.env.PID)):]...)
 }
@@ -308,7 +298,7 @@ func (s *ProcState) refreshKey() {
 	}
 	b := append(s.key[:0], KeyTagProc)
 	b = binary.AppendUvarint(b, uint64(s.env.PID))
-	s.key = s.appendStateKey(b, nil)
+	s.key = s.appendStateKey(b)
 	s.keyHash[0], s.keyHash[1] = murmur.Sum128(s.key)
 	s.keyOK = s.settled || s.halted
 }
@@ -316,7 +306,7 @@ func (s *ProcState) refreshKey() {
 // uvarintLen is the length of x's uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-func (s *ProcState) appendStateKey(buf []byte, rename func(slot int, v Value) Value) []byte {
+func (s *ProcState) appendStateKey(buf []byte) []byte {
 	if s.halted {
 		buf = append(buf, stateTagHalted)
 		return binary.AppendVarint(buf, s.retValue)
@@ -343,12 +333,8 @@ func (s *ProcState) appendStateKey(buf []byte, rename func(slot int, v Value) Va
 	for wi, w := range bound {
 		for u := uint64(w); u != 0; u &= u - 1 {
 			i := wi*64 + bits.TrailingZeros64(u)
-			v := vals[i]
-			if rename != nil {
-				v = rename(i, v)
-			}
 			buf = binary.AppendUvarint(buf, uint64(i))
-			buf = binary.AppendVarint(buf, v)
+			buf = binary.AppendVarint(buf, vals[i])
 		}
 	}
 	return buf

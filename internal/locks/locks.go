@@ -31,14 +31,6 @@ type Algorithm struct {
 	// then q does not enter the critical section before p).
 	doorwaySplit int
 
-	// symmetry, when non-nil, declares that renaming process IDs is an
-	// automorphism of the lock and how its PID-typed data renames — the
-	// checker's opt-in process-symmetry reduction keys on it. Only locks
-	// whose algorithms are fully PID-symmetric declare one: Bakery's
-	// ordered ticket scan compares slot numbers with <, and tournament
-	// trees wire processes to fixed leaves, so neither renames soundly.
-	symmetry *machine.SymmetrySpec
-
 	// recovery, when non-empty, makes the lock recoverable (the RME
 	// model): a crashed process re-enters here before resuming its
 	// passage loop, and the locals named in durable survive the crash.
@@ -79,20 +71,6 @@ func (a *Algorithm) Acquire() []lang.Stmt { return a.acquire }
 
 // Release returns the lock-release statement fragment.
 func (a *Algorithm) Release() []lang.Stmt { return a.release }
-
-// Symmetry returns the lock's process-symmetry declaration, or nil when
-// the lock is not PID-symmetric (enabling symmetry reduction on such a
-// lock degrades to the identity canonicalization).
-func (a *Algorithm) Symmetry() *machine.SymmetrySpec { return a.symmetry }
-
-// WithSymmetry declares a process-symmetry spec on the algorithm and
-// returns it. Program transformations that preserve data symmetry —
-// fence stripping and fence insertion rebuild locks via FromFragments —
-// use it to carry the base lock's declaration onto the transformed lock.
-func (a *Algorithm) WithSymmetry(spec *machine.SymmetrySpec) *Algorithm {
-	a.symmetry = spec
-	return a
-}
 
 // Recoverable reports whether the lock declares a recovery fragment.
 func (a *Algorithm) Recoverable() bool { return len(a.recovery) > 0 }

@@ -129,20 +129,6 @@ func newPetersonVariant(lay *machine.Layout, name string, n int, fences peterson
 		acquire:      acquire,
 		release:      petersonRelease(spec),
 		doorwaySplit: doorway,
-		// Peterson is fully PID-symmetric: the flag array renames
-		// positionally (per-process, derived from the layout), the victim
-		// register stores slot+1 (offset 1, with 0 = "no victim" fixed),
-		// and the me/rme locals hold the raw slot while vi holds a read
-		// victim value. The rival flag index 1−me is permutation-
-		// equivariant for n=2: π(1−me) = 1−π(me) for both elements of S₂.
-		symmetry: &machine.SymmetrySpec{
-			PIDRegs: map[machine.Reg]machine.Value{victim.Base: 1},
-			PIDLocals: map[string]machine.Value{
-				spec.pfx + "me":  0,
-				spec.pfx + "rme": 0,
-				spec.pfx + "vi":  1,
-			},
-		},
 	}, nil
 }
 

@@ -149,8 +149,8 @@ func (c *Config) bufferKey(p int) hash128 {
 }
 
 // StateKey returns the configuration's state key: the sum of its
-// component hashes (no symmetry reduction). Processes are settled first,
-// as AppendStateBytes settles them.
+// component hashes. Processes are settled first, as AppendStateBytes
+// settles them.
 func (c *Config) StateKey() (StateKey, error) {
 	s := c.memoryKey()
 	for p, ps := range c.procs {

@@ -31,7 +31,7 @@ func referenceKey(t *testing.T, c *Config) StateKey {
 			}
 		}
 		b := binary.AppendUvarint([]byte{keyTagProc}, uint64(p))
-		add(ps.AppendStateKey(b, nil))
+		add(ps.AppendStateKey(b))
 		ws := c.wbs[p].entries()
 		if len(ws) == 0 {
 			continue

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -168,95 +167,6 @@ func TestStateKeyCrossBuildStability(t *testing.T) {
 		}
 		step(t, c1, PBottom(0))
 		step(t, c2, PBottom(0))
-	}
-}
-
-// TestCanonicalizerIdentity: with no symmetry declaration the
-// canonicalizer is byte-for-byte the plain encoder and reports that it
-// does not reduce.
-func TestCanonicalizerIdentity(t *testing.T) {
-	prog := lang.NewProgram("i", lang.Write(lang.I(100), lang.I(3)), lang.Return(lang.I(0)))
-	c, lay := mkConfig(t, PSO, prog)
-	step(t, c, PBottom(0))
-	cz := NewCanonicalizer(lay, c.N(), nil)
-	if cz.Reduces() {
-		t.Fatal("nil spec claims a reduction")
-	}
-	plain, err := c.AppendStateBytes(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, err := cz.AppendCanonicalStateBytes(c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain, canon) {
-		t.Fatal("identity canonicalization drifted from the plain encoding")
-	}
-}
-
-// TestCanonicalizerMirrorOrbit: on a fully PID-symmetric two-process
-// system, mirror-image states (process 0 advanced vs process 1 advanced)
-// get distinct plain keys but identical canonical bytes, while the
-// symmetric initial state canonicalizes to its own plain encoding.
-func TestCanonicalizerMirrorOrbit(t *testing.T) {
-	build := func() (*Config, *Layout, Array) {
-		lay := NewLayout()
-		flag := lay.MustAlloc("flag", 2, OwnedBy)
-		progs := make([]*lang.Program, 2)
-		for i := range progs {
-			progs[i] = lang.NewProgram("p",
-				lang.Write(lang.I(flag.At(i)), lang.I(1)),
-				lang.Return(lang.I(0)),
-			)
-		}
-		c, err := NewConfig(PSO, lay, progs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, lay, flag
-	}
-	advance := func(c *Config, p int, r Reg) {
-		step(t, c, PBottom(p))
-		step(t, c, PReg(p, r))
-	}
-	spec := &SymmetrySpec{}
-
-	cA, lay, flag := build()
-	cz := NewCanonicalizer(lay, cA.N(), spec)
-	if !cz.Reduces() {
-		t.Fatal("two-process spec does not reduce")
-	}
-	initPlain, err := cA.AppendStateBytes(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initCanon, err := cz.AppendCanonicalStateBytes(cA, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(initPlain, initCanon) {
-		t.Fatal("symmetric initial state does not canonicalize to itself")
-	}
-
-	advance(cA, 0, flag.At(0))
-	cB, layB, flagB := build()
-	advance(cB, 1, flagB.At(1))
-	czB := NewCanonicalizer(layB, cB.N(), spec)
-
-	if key(t, cA) == key(t, cB) {
-		t.Fatal("mirror states collide without canonicalization (encoding not injective)")
-	}
-	canonA, err := cz.AppendCanonicalStateBytes(cA, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	canonB, err := czB.AppendCanonicalStateBytes(cB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(canonA, canonB) {
-		t.Fatal("mirror states are not identified by canonicalization")
 	}
 }
 

@@ -42,7 +42,7 @@ func (e *RecoveredError) Unwrap() error {
 // Recover converts an in-flight panic into a *RecoveredError stored in
 // *errp. Use as the first deferred call of a facade entry point:
 //
-//	func CheckMutex(...) (v *Verdict, err error) {
+//	func CheckMutexCtx(...) (v *MutexVerdict, err error) {
 //		defer run.Recover("check mutex", &err)
 //		...
 //	}

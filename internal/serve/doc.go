@@ -7,7 +7,9 @@
 //
 //   - Idempotent submission. Every request reduces to a canonical
 //     identity — operation, lock, workload, memory model, crash budget,
-//     symmetry mode, plus the StateKey codec and checkpoint schema
+//     the symmetry flag (which no longer changes the exploration), the
+//     reorder bound, partial-order reduction and the synthesis oracle,
+//     plus the identity schema, StateKey codec and checkpoint schema
 //     versions that define when two explorations are interchangeable
 //     (the same identity the checkpoint-certification machinery
 //     enforces). The identity's hash is the job ID: duplicate
@@ -17,7 +19,7 @@
 //   - Crash-safe persistence. Every accepted job is journaled to an
 //     append-only JSONL outbox before it is acknowledged, and every
 //     outcome after it completes; supervised runs checkpoint to disk at
-//     every BFS level. A restarted daemon replays the journal: completed
+//     the engine's quiescent barriers. A restarted daemon replays the journal: completed
 //     results repopulate the cache, in-flight jobs re-enter the queue
 //     and resume from their certified checkpoints instead of
 //     recomputing. Records that fail identity certification (codec or

@@ -94,3 +94,42 @@ func TestEndToEndRME(t *testing.T) {
 	}
 	srv.Drain()
 }
+
+// A symmetry=true check keeps its own identity — the benchmark's serve
+// catalog (perfbench/catalog.go) submits one as a fresh job and counts a
+// dedup or cache hit on it as a failure — but runs the same unreduced
+// exploration as the plain request, so both finish with equal outcomes:
+// peterson n=2/PSO visits all 633 states either way.
+func TestSymmetryRequestRunsUnreduced(t *testing.T) {
+	plain := normalized(t, Request{Op: OpCheck, Lock: "peterson", N: 2, Model: "pso"})
+	sym := normalized(t, Request{Op: OpCheck, Lock: "peterson", N: 2, Model: "pso", Symmetry: true})
+	if plain.Key() == sym.Key() {
+		t.Fatalf("symmetry flag left the identity: %s", sym.identity())
+	}
+
+	cfg := testConfig(t, t.TempDir(), FacadeRunner{})
+	cfg.DrainGrace = 5 * time.Second
+	srv, hs := startServer(t, cfg)
+	var outs []CheckOutcome
+	for _, body := range []string{
+		`{"op":"check","lock":"peterson","n":2,"model":"pso"}`,
+		`{"op":"check","lock":"peterson","n":2,"model":"pso","symmetry":true}`,
+	} {
+		code, sr, _ := submitJSON(t, hs.URL, body)
+		if code != 202 || sr.Dedup || sr.Cached {
+			t.Fatalf("%s: not accepted as a fresh job: code=%d resp=%+v", body, code, sr)
+		}
+		done := waitStatus(t, hs.URL, sr.JobID, StatusDone)
+		if done.Result.Check == nil {
+			t.Fatalf("%s: no check outcome: %+v", body, done.Result)
+		}
+		outs = append(outs, *done.Result.Check)
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("symmetry=true outcome differs from the plain one:\n  %+v\n  %+v", outs[1], outs[0])
+	}
+	if !outs[1].Proved || outs[1].States != 633 {
+		t.Fatalf("peterson n=2/PSO with symmetry=true: %+v, want proved at 633 states", outs[1])
+	}
+	srv.Drain()
+}

@@ -34,7 +34,12 @@ import (
 // reduced-graph proof — so a reduced result must never be served for an
 // unreduced request or vice versa; making them identity fields gives each
 // (request, reduction) pair its own job, outbox record and checkpoint.
-const IdentitySchemaVersion = 4
+//
+// v5: process-symmetry reduction was removed, and checkpoints moved to
+// schema v8. The symmetry= component stays, but a symmetry=true request
+// now runs the unreduced exploration; cached symmetry=true results hold
+// orbit counts, so the whole generation is invalidated.
+const IdentitySchemaVersion = 5
 
 // Request operations.
 const (
@@ -83,8 +88,9 @@ func PriorityName(p int) string {
 // of fields:
 //
 //   - Identity fields define the semantic question being asked (operation,
-//     lock, workload size, memory model, crash budget, symmetry mode, and
-//     for synthesis the oracle). Two requests with equal identity are
+//     lock, workload size, memory model, crash budget, symmetry flag,
+//     reorder bound, partial-order reduction, and for synthesis the
+//     oracle). Two requests with equal identity are
 //     interchangeable — same exploration, same answer — and the daemon
 //     collapses them onto one job.
 //   - Run parameters (budget, workers, seed, timeout) shape how the answer
@@ -106,7 +112,10 @@ type Request struct {
 	Model string `json:"model"`
 	// MaxCrashes is the adversarial crash budget (check only).
 	MaxCrashes int `json:"max_crashes,omitempty"`
-	// Symmetry enables process-symmetry reduction.
+	// Symmetry is accepted and kept in the identity, so a symmetry=true
+	// request is its own job, but it runs the same unreduced exploration
+	// as the plain request: process-symmetry reduction was removed, and
+	// the flag no longer changes the verdict or the state count.
 	Symmetry bool `json:"symmetry,omitempty"`
 	// ReorderBound > 0 runs the exploration under reorder-bounded buffer
 	// semantics (check/rme: bounded certificate, Proved suppressed;

@@ -16,7 +16,6 @@ type CheckOutcome struct {
 	Proved           bool   `json:"proved"`
 	Mode             string `json:"mode"`
 	States           int    `json:"states"`
-	SymmetryApplied  bool   `json:"symmetry_applied,omitempty"`
 	ExhaustiveStates int    `json:"exhaustive_states"`
 	RandomSteps      int    `json:"random_steps,omitempty"`
 	WitnessSchedule  string `json:"witness_schedule,omitempty"`
@@ -114,7 +113,6 @@ func runRME(ctx context.Context, model tradingfences.MemoryModel, req Request) (
 	opts := tradingfences.CheckOptions{
 		Budget:       req.Budget(),
 		Seed:         req.Seed,
-		Symmetry:     req.Symmetry,
 		ReorderBound: req.ReorderBound,
 		POR:          req.POR,
 		Workers:      req.Workers,
@@ -148,7 +146,6 @@ func checkOutcomeOf(v *tradingfences.MutexVerdict) *CheckOutcome {
 		Proved:           v.Proved,
 		Mode:             v.Mode,
 		States:           v.States,
-		SymmetryApplied:  v.SymmetryApplied,
 		ExhaustiveStates: v.Coverage.ExhaustiveStates,
 		RandomSteps:      v.Coverage.RandomSteps,
 		WitnessSchedule:  v.WitnessSchedule,
@@ -174,7 +171,6 @@ func runCheck(ctx context.Context, spec tradingfences.LockSpec, model tradingfen
 		CheckOptions: tradingfences.CheckOptions{
 			Budget:       req.Budget(),
 			Seed:         req.Seed,
-			Symmetry:     req.Symmetry,
 			ReorderBound: req.ReorderBound,
 			POR:          req.POR,
 			Workers:      req.Workers,
@@ -217,7 +213,6 @@ func runSynth(ctx context.Context, spec tradingfences.LockSpec, model tradingfen
 		Workers:        req.Workers,
 		Seed:           req.Seed,
 		MaxOracleCalls: req.MaxOracleCalls,
-		Symmetry:       req.Symmetry,
 		ReorderBound:   req.ReorderBound,
 		POR:            req.POR,
 	}

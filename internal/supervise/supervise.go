@@ -4,10 +4,14 @@
 // from the last on-disk checkpoint instead of restarting from zero, and
 // escalates along a ladder when retries keep failing:
 //
-//	attempt 0   configured budget, configured workers
+//	attempt 0   configured budget
 //	attempt 1+  grow the tripped budgets (×BudgetGrowth per retry)
-//	later       halve the worker pool (less frontier in flight)
 //	finally     degrade to a seeded randomized search (refute-only)
+//
+// The worker pool stays as configured on every attempt: each budget the
+// ladder grows is charged per unit of work (a fixed charge per interned
+// state, one per step), exactly at every worker count, so a smaller pool
+// cannot make a tripped budget pass.
 //
 // Every attempt resumes from the newest checkpoint it can certify;
 // snapshots that fail certification — corrupted bytes, truncated files,
@@ -45,19 +49,14 @@ const (
 type Options struct {
 	// Workers sizes the parallel explorer's pool (0 resolves to
 	// runtime.NumCPU(), negative values to 1 — matching
-	// check.Opts.Workers). The descent rung of the ladder halves the
-	// resolved value, never below 1; attempt reports carry the resolved
-	// count.
+	// check.Opts.Workers). Every attempt runs the same pool; attempt
+	// reports carry the resolved count.
 	Workers int
 	// Budget bounds each attempt; the growth rung multiplies the bounded
 	// resources by BudgetGrowth.
 	Budget run.Budget
 	// Faults is forwarded to the explorer (adversarial crash budget).
 	Faults *machine.FaultPlan
-	// Symmetry is forwarded to the explorer (process-symmetry reduction;
-	// see check.Opts.Symmetry). Checkpoints certify the symmetry mode, so
-	// resumed attempts stay consistent automatically.
-	Symmetry bool
 	// Reduction is forwarded to the explorer (reorder-bounded buffer
 	// semantics and commit-step partial-order reduction; see
 	// check.Opts.Reduction). Checkpoints certify both modes, so resumed
@@ -143,7 +142,8 @@ func (o Options) withDefaults() Options {
 type Attempt struct {
 	// Index is the attempt number (0 = first).
 	Index int `json:"index"`
-	// Workers and Budget are the escalated parameters in force.
+	// Workers is the resolved pool and Budget the escalated budget in
+	// force.
 	Workers int        `json:"workers"`
 	Budget  run.Budget `json:"budget"`
 	// ResumedLevel is the snapshot generation the attempt continued from
@@ -295,8 +295,8 @@ func growBudget(b run.Budget, g float64) run.Budget {
 
 // CheckMutex supervises an exhaustive mutual-exclusion check of the
 // subject under the given model: it retries failed attempts from the last
-// certified checkpoint with exponential backoff, escalating budget then
-// worker count, and degrades to a seeded randomized search only after the
+// certified checkpoint with exponential backoff, growing the budget, and
+// degrades to a seeded randomized search only after the
 // ladder is exhausted — replacing the old restart-from-zero degradation.
 //
 // The returned error is non-nil only for non-recoverable failures
@@ -316,8 +316,8 @@ func CheckMutex(ctx context.Context, subject *check.Subject, model machine.Model
 	}
 	out := &Outcome{Mode: ModeExhaustive}
 	budget := o.Budget
-	// Resolve the pool size up front so the halving rung operates on the
-	// actual count (halving a 0-means-NumCPU sentinel would widen it).
+	// Resolve the pool size up front so attempt reports carry the actual
+	// count.
 	workers := o.Workers
 	if workers == 0 {
 		workers = runtime.NumCPU()
@@ -333,7 +333,7 @@ func CheckMutex(ctx context.Context, subject *check.Subject, model machine.Model
 			o.Sleep(backoff)
 		}
 
-		chk := check.Opts{Budget: budget, Faults: o.Faults, Symmetry: o.Symmetry, Reduction: o.Reduction, Workers: workers}
+		chk := check.Opts{Budget: budget, Faults: o.Faults, Reduction: o.Reduction, Workers: workers}
 		if o.CheckpointPath != "" {
 			chk.Checkpoint = &check.CheckpointPolicy{
 				Path: o.CheckpointPath, EveryStates: o.CheckpointEvery, Meta: o.Meta,
@@ -396,15 +396,7 @@ func CheckMutex(ctx context.Context, subject *check.Subject, model machine.Model
 			return out, err
 		}
 
-		// Escalation ladder: grow the budget first; once past the
-		// midpoint of the ladder, also shrink the worker pool.
 		budget = growBudget(budget, o.BudgetGrowth)
-		if attempt+1 >= (o.MaxAttempts+1)/2 && workers > 1 {
-			workers = workers / 2
-			if workers < 1 {
-				workers = 1
-			}
-		}
 		backoff = o.BackoffBase << attempt
 	}
 

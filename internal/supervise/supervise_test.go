@@ -146,7 +146,7 @@ func TestGrowBudget(t *testing.T) {
 
 // Exhausting the ladder on a proof subject must end in a degraded
 // randomized verdict that (correctly) finds nothing, with the attempt
-// reports showing the escalation: budgets growing, workers descending,
+// reports showing the escalation: budgets growing, the worker pool kept,
 // exponential backoff between attempts.
 func TestLadderExhaustionDegrades(t *testing.T) {
 	s := mustSubject(t, "bakery", locks.NewBakery, 2)
@@ -173,13 +173,16 @@ func TestLadderExhaustionDegrades(t *testing.T) {
 			t.Fatalf("attempt %d did not trip: %+v", i, a)
 		}
 	}
-	// Budget grows every rung; workers shrink past the midpoint.
+	// Budget grows every rung; the pool stays as configured, since a
+	// smaller one cannot make a per-unit budget pass.
 	if out.Attempts[1].Budget.MaxStates <= out.Attempts[0].Budget.MaxStates ||
 		out.Attempts[2].Budget.MaxStates <= out.Attempts[1].Budget.MaxStates {
 		t.Fatalf("budget did not escalate: %+v", out.Attempts)
 	}
-	if out.Attempts[2].Workers >= out.Attempts[0].Workers {
-		t.Fatalf("workers did not descend: %+v", out.Attempts)
+	for i, a := range out.Attempts {
+		if a.Workers != 4 {
+			t.Fatalf("attempt %d ran %d workers, want the configured 4: %+v", i, a.Workers, out.Attempts)
+		}
 	}
 	want := []time.Duration{time.Millisecond, 2 * time.Millisecond}
 	if len(sleeps) != len(want) {

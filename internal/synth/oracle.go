@@ -35,7 +35,7 @@ type Verdict struct {
 type Oracle func(ctx context.Context, subject *check.Subject, model machine.Model) (Verdict, error)
 
 // ExhaustiveOracle decides placements with the sequential exhaustive
-// checker under the given per-call options (budget, symmetry reduction).
+// checker under the given per-call options (budget, reductions).
 // Complete, deterministic, and the cheapest choice at n=2 where state
 // spaces are tiny. The checker explores with in-place step/revert (an undo
 // trail instead of a clone per edge), so sweeping hundreds of placements

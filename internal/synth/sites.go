@@ -139,13 +139,7 @@ func (w *walker) rebuildLock(a *locks.Algorithm) (*locks.Algorithm, error) {
 		return nil, fmt.Errorf("synth: placement %s selects sites beyond the %d candidates of %s",
 			w.mask, w.next, a.Name())
 	}
-	lk, err := locks.FromFragments(a.Name(), a.N(), acquire, release, split)
-	if err != nil {
-		return nil, err
-	}
-	// Fence insertion is process-uniform and touches no PID-typed data, so
-	// the base lock's symmetry declaration stays sound for every placement.
-	return lk.WithSymmetry(a.Symmetry()), nil
+	return locks.FromFragments(a.Name(), a.N(), acquire, release, split)
 }
 
 // Enumerate instantiates the lock on a scratch layout and returns its

@@ -64,16 +64,6 @@ func CheckRMECtx(ctx context.Context, name string, n, passages int, model Memory
 		opts.checkOpts("rme", subject.Name, n, passages))
 }
 
-// CheckRME is CheckRMECtx with a background context, a plain state
-// budget, and an adversarial crash budget.
-func CheckRME(name string, n, passages int, model MemoryModel, crashes, maxStates int) (*MutexVerdict, error) {
-	opts := CheckOptions{Budget: Budget{MaxStates: maxStates}}
-	if crashes > 0 {
-		opts.Faults = &FaultPlan{MaxCrashes: crashes}
-	}
-	return CheckRMECtx(context.Background(), name, n, passages, model, opts)
-}
-
 // newRMESubject builds the instrumented recoverable workload, accepting
 // the bare lock name or the "rme:"-prefixed form recorded in witnesses.
 func newRMESubject(name string, n, passages int) (*check.Subject, error) {

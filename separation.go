@@ -69,11 +69,6 @@ type MutexVerdict struct {
 	States int
 	// Mode records how the verdict was reached (see the Mode constants).
 	Mode string
-	// SymmetryApplied is true when the exhaustive exploration keyed its
-	// visited set on symmetry orbits (CheckOptions.Symmetry on a lock
-	// with a symmetry declaration); States then counts orbits, not raw
-	// states.
-	SymmetryApplied bool
 	// Coverage quantifies the exploration behind the verdict.
 	Coverage Coverage
 	// Witness is a human-readable counterexample trace (empty when no
@@ -205,7 +200,6 @@ func (o CheckOptions) checkOpts(kind, lockName string, n, passages int) check.Op
 	chk := check.Opts{
 		Budget:    o.Budget,
 		Faults:    o.Faults,
-		Symmetry:  o.Symmetry,
 		Workers:   max(o.Workers, 1),
 		Reduction: check.Reduction{ReorderBound: o.ReorderBound, POR: o.POR},
 	}
@@ -298,12 +292,11 @@ func checkSubject(ctx context.Context, subject *check.Subject, lockName string, 
 // semantics. POR needs no such demotion — it preserves verdicts exactly.
 func exhaustiveVerdict(model MemoryModel, res check.Result) *MutexVerdict {
 	return &MutexVerdict{
-		Model:           model,
-		Mode:            ModeExhaustive,
-		Violated:        res.Violation,
-		Proved:          res.Complete && !res.Violation && res.ReorderBound == 0,
-		States:          res.States,
-		SymmetryApplied: res.SymmetryApplied,
+		Model:    model,
+		Mode:     ModeExhaustive,
+		Violated: res.Violation,
+		Proved:   res.Complete && !res.Violation && res.ReorderBound == 0,
+		States:   res.States,
 		Coverage: Coverage{
 			ExhaustiveStates: res.States,
 			ReorderBound:     res.ReorderBound,
@@ -312,17 +305,6 @@ func exhaustiveVerdict(model MemoryModel, res check.Result) *MutexVerdict {
 		},
 		Passages: res.Passages,
 	}
-}
-
-// CheckMutex model-checks mutual exclusion of the lock for n processes
-// performing `passages` passages each under the given memory model,
-// exploring up to maxStates distinct states exhaustively. If the state
-// budget trips, the check degrades to a seeded randomized search and the
-// verdict reports Mode == ModeDegraded (see CheckMutexCtx for full
-// control).
-func CheckMutex(spec LockSpec, n, passages int, model MemoryModel, maxStates int) (*MutexVerdict, error) {
-	return CheckMutexCtx(context.Background(), spec, n, passages, model,
-		CheckOptions{Budget: Budget{MaxStates: maxStates}})
 }
 
 // CheckMutexRandom hunts for mutual-exclusion violations with seeded random
@@ -375,11 +357,11 @@ type LivenessVerdict struct {
 // deadlock freedom and weak obstruction-freedom, bounded by opts.Budget and
 // cancelled by ctx. Budget trips return the partial (inconclusive) verdict
 // together with the structured error. The graph is recorded by the
-// exploration engine at one worker without snapshots. Fault plans,
-// Symmetry, the reductions, Workers > 1, CheckpointPath and
-// CheckpointEvery are rejected rather than silently ignored: the analysis
-// is defined for crash-free executions, and the symmetry and reduction
-// soundness arguments do not cover its successor graph.
+// exploration engine at one worker without snapshots. Fault plans, the
+// reductions, Workers > 1, CheckpointPath and CheckpointEvery are
+// rejected rather than silently ignored: the analysis is defined for
+// crash-free executions, and the reduction soundness arguments do not
+// cover its successor graph.
 func CheckLivenessCtx(ctx context.Context, spec LockSpec, n, passages int, model MemoryModel, opts CheckOptions) (v *LivenessVerdict, err error) {
 	defer run.Recover("check liveness", &err)
 	if err := opts.oneWorker("liveness checking"); err != nil {
@@ -395,7 +377,6 @@ func CheckLivenessCtx(ctx context.Context, spec LockSpec, n, passages int, model
 		// Threaded so the liveness checker rejects them loudly: silently
 		// dropping the flags would let a run that honoured none of them
 		// masquerade as what the caller asked for.
-		Symmetry:  opts.Symmetry,
 		Reduction: check.Reduction{ReorderBound: opts.ReorderBound, POR: opts.POR},
 	})
 	if cerr != nil && (res == nil || !run.IsLimit(cerr)) {
@@ -412,18 +393,6 @@ func CheckLivenessCtx(ctx context.Context, spec LockSpec, n, passages int, model
 	}, cerr
 }
 
-// CheckLiveness is CheckLivenessCtx with a background context and a plain
-// state budget; a tripped budget yields an inconclusive (Complete=false)
-// verdict without error.
-func CheckLiveness(spec LockSpec, n, passages int, model MemoryModel, maxStates int) (*LivenessVerdict, error) {
-	v, err := CheckLivenessCtx(context.Background(), spec, n, passages, model,
-		CheckOptions{Budget: Budget{MaxStates: maxStates}})
-	if err != nil && v != nil && run.IsLimit(err) {
-		return v, nil
-	}
-	return v, err
-}
-
 // SeparationRow is one row of the separation matrix: a lock's verdicts
 // under SC, TSO and PSO.
 type SeparationRow struct {
@@ -432,8 +401,8 @@ type SeparationRow struct {
 	Verdicts map[MemoryModel]*MutexVerdict
 }
 
-// SeparationMatrix exhaustively checks the witness locks that realize the
-// SC ⊋ TSO ⊋ PSO hierarchy (two processes, one passage each):
+// SeparationMatrixCtx exhaustively checks the witness locks that realize
+// the SC ⊋ TSO ⊋ PSO hierarchy (two processes, one passage each):
 //
 //	peterson-nofence: safe under SC only       (0 fences)
 //	peterson-tso:     safe under SC, TSO       (1 fence)
@@ -446,21 +415,12 @@ type SeparationRow struct {
 //
 // This is the behavioural half of the paper's separation result: the
 // number of fences needed grows strictly as write ordering weakens.
-func SeparationMatrix(maxStates int) ([]SeparationRow, error) {
-	return SeparationMatrixCtx(context.Background(), maxStates)
-}
-
-// SeparationMatrixCtx is SeparationMatrix bounded by a context.
-func SeparationMatrixCtx(ctx context.Context, maxStates int) ([]SeparationRow, error) {
-	return SeparationMatrixWithOptions(ctx, CheckOptions{Budget: Budget{MaxStates: maxStates}})
-}
-
-// SeparationMatrixWithOptions is SeparationMatrixCtx with full check
-// options: in particular opts.Workers routes every cell through the
-// parallel explorer (cell verdicts are identical for any worker count).
-// Checkpoint options are ignored — a single snapshot file cannot span the
-// matrix's 18 independent checks.
-func SeparationMatrixWithOptions(ctx context.Context, opts CheckOptions) ([]SeparationRow, error) {
+//
+// Every cell runs CheckMutexCtx under opts; opts.Workers routes it
+// through the parallel explorer (cell verdicts are identical for any
+// worker count). Checkpoint options are ignored — a single snapshot file
+// cannot span the matrix's 18 independent checks.
+func SeparationMatrixCtx(ctx context.Context, opts CheckOptions) ([]SeparationRow, error) {
 	opts.CheckpointPath = ""
 	entries := []struct {
 		spec   LockSpec

@@ -68,9 +68,9 @@ func supervisedVerdict(ctx context.Context, subject *check.Subject, spec LockSpe
 // CheckMutexSupervisedCtx model-checks mutual exclusion like CheckMutexCtx
 // but under the supervisor of internal/supervise: attempts that trip a
 // degradable budget or lose a worker are retried from the last certified
-// checkpoint (opts.CheckpointPath) with exponential backoff, escalating
-// the budget and then shrinking the worker pool before degrading to the
-// seeded randomized fallback. The per-attempt reports expose the ladder.
+// checkpoint (opts.CheckpointPath) with exponential backoff, growing the
+// budget before degrading to the seeded randomized fallback. The
+// per-attempt reports expose the ladder.
 //
 // Fault plans with adversarial crash budgets are carried through every
 // attempt; the supervised path does not accept fixed crash points or
@@ -86,7 +86,6 @@ func CheckMutexSupervisedCtx(ctx context.Context, spec LockSpec, n, passages int
 		Workers:          opts.Workers,
 		Budget:           opts.Budget,
 		Faults:           opts.Faults,
-		Symmetry:         opts.Symmetry,
 		Reduction:        check.Reduction{ReorderBound: opts.ReorderBound, POR: opts.POR},
 		MaxAttempts:      opts.MaxAttempts,
 		BackoffBase:      opts.BackoffBase,
@@ -157,14 +156,11 @@ func ResumeMutexCheckCtx(ctx context.Context, path string, opts CheckOptions) (v
 	if ck.MaxCrashes > 0 {
 		opts.Faults = &FaultPlan{MaxCrashes: ck.MaxCrashes}
 	}
-	// Like the fault plan, the symmetry mode is pinned by the snapshot:
-	// its visited keys are only meaningful under the canonicalization they
-	// were minted with (the resume re-certifies this). So are the
-	// reduction modes — bounded keys carry reorder ages and a reduced
-	// frontier covers the reduced graph only. ck.ReorderBound is the
-	// resolved bound (SC snapshots already carry 0), so copying it back
-	// survives the SC no-op convention.
-	opts.Symmetry = ck.Symmetry
+	// Like the fault plan, the reduction modes are pinned by the snapshot:
+	// bounded keys carry reorder ages and a reduced frontier covers the
+	// reduced graph only (the resume re-certifies both). ck.ReorderBound
+	// is the resolved bound (SC snapshots already carry 0), so copying it
+	// back survives the SC no-op convention.
 	opts.ReorderBound = ck.ReorderBound
 	opts.POR = ck.POR
 	opts.CheckpointPath = path

@@ -148,7 +148,6 @@ func TestCheckLivenessRejectsUnsupportedOptions(t *testing.T) {
 		opts CheckOptions
 		name string
 	}{
-		{CheckOptions{Symmetry: true}, "Symmetry"},
 		{CheckOptions{Workers: 2}, "Workers"},
 		{CheckOptions{CheckpointPath: "ck.json"}, "CheckpointPath"},
 		{CheckOptions{CheckpointEvery: 64}, "CheckpointEvery"},

@@ -213,15 +213,11 @@ func MeasureLockContended(spec LockSpec, n int) (ContentionPoint, error) {
 	}, nil
 }
 
-// TradeoffSweep measures GT_f for every height f = 1..⌈log2 n⌉ at the
+// TradeoffSweepCtx measures GT_f for every height f = 1..⌈log2 n⌉ at the
 // given n — the empirical reproduction of Equation 2 (and, at its
-// endpoints, of the Section 3 Bakery and tournament-tree claims).
-func TradeoffSweep(n int) ([]SweepPoint, error) {
-	return TradeoffSweepCtx(context.Background(), n)
-}
-
-// TradeoffSweepCtx is TradeoffSweep cancellable between measurement
-// points; a cancelled context returns an error matching context.Canceled.
+// endpoints, of the Section 3 Bakery and tournament-tree claims). It is
+// cancellable between measurement points; a cancelled context returns an
+// error matching context.Canceled.
 func TradeoffSweepCtx(ctx context.Context, n int) ([]SweepPoint, error) {
 	maxF := 1
 	for p := 1; p < n; p *= 2 {

@@ -53,12 +53,6 @@ type SynthOptions struct {
 	// hitting the bound leaves the remaining placements unchecked and the
 	// frontier explicitly partial.
 	MaxOracleCalls int
-	// Symmetry enables process-symmetry reduction in the safety oracle
-	// (see CheckOptions.Symmetry). Placements inherit the base lock's
-	// symmetry declaration — fence insertion is process-uniform — so for
-	// symmetric locks every oracle call over the lattice shares the
-	// reduction.
-	Symmetry bool
 	// POR enables commit-step partial-order reduction in the safety
 	// oracle (see CheckOptions.POR). Verdict-preserving, so oracle proofs
 	// stay full proofs — placements admitted to the frontier under POR
@@ -173,13 +167,12 @@ func SynthLockName(spec LockSpec, sites []int) (string, error) {
 func (o SynthOptions) oracleFor() synth.Oracle {
 	red := check.Reduction{ReorderBound: o.ReorderBound, POR: o.POR}
 	if o.Oracle == OracleExhaustive {
-		return synth.ExhaustiveOracle(check.Opts{Budget: o.Budget, Symmetry: o.Symmetry, Reduction: red})
+		return synth.ExhaustiveOracle(check.Opts{Budget: o.Budget, Reduction: red})
 	}
 	runs, maxSteps := CheckOptions{}.fallback()
 	return synth.SupervisedOracle(supervise.Options{
 		Workers:          o.Workers,
 		Budget:           o.Budget,
-		Symmetry:         o.Symmetry,
 		Reduction:        red,
 		Seed:             o.Seed,
 		FallbackRuns:     runs,

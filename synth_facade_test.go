@@ -98,7 +98,7 @@ func TestSynthesizeFencesBakeryFrontier(t *testing.T) {
 	if len(res.Frontier) == 0 {
 		t.Fatal("empty frontier")
 	}
-	gt, err := TradeoffSweep(2)
+	gt, err := TradeoffSweepCtx(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

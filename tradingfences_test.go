@@ -1,6 +1,7 @@
 package tradingfences
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -89,7 +90,7 @@ func TestMeasureLockBakeryFlatFences(t *testing.T) {
 }
 
 func TestTradeoffSweepShape(t *testing.T) {
-	pts, err := TradeoffSweep(64)
+	pts, err := TradeoffSweepCtx(context.Background(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestTradeoffSweepShape(t *testing.T) {
 
 func TestEncodePermutationRoundTrip(t *testing.T) {
 	pi := []int{4, 1, 3, 0, 2}
-	rep, err := EncodePermutation(LockSpec{Kind: Bakery}, Count, pi)
+	rep, err := EncodePermutationCtx(context.Background(), LockSpec{Kind: Bakery}, Count, pi, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +147,10 @@ func TestEncodePermutationRoundTrip(t *testing.T) {
 }
 
 func TestEncodePermutationRejectsBadInput(t *testing.T) {
-	if _, err := EncodePermutation(LockSpec{Kind: Bakery}, Count, []int{0, 0, 1}); err == nil {
+	if _, err := EncodePermutationCtx(context.Background(), LockSpec{Kind: Bakery}, Count, []int{0, 0, 1}, Budget{}); err == nil {
 		t.Error("invalid permutation accepted")
 	}
-	if _, err := EncodePermutation(LockSpec{Kind: GT}, Count, []int{0, 1}); err == nil {
+	if _, err := EncodePermutationCtx(context.Background(), LockSpec{Kind: GT}, Count, []int{0, 1}, Budget{}); err == nil {
 		t.Error("GT without F accepted")
 	}
 }
@@ -175,14 +176,14 @@ func TestPermHelpers(t *testing.T) {
 }
 
 func TestCheckMutexFacade(t *testing.T) {
-	v, err := CheckMutex(LockSpec{Kind: PetersonTSO}, 2, 1, PSO, 2_000_000)
+	v, err := CheckMutexCtx(context.Background(), LockSpec{Kind: PetersonTSO}, 2, 1, PSO, CheckOptions{Budget: Budget{MaxStates: 2_000_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.Violated || v.Witness == "" {
 		t.Fatalf("expected PSO violation with witness, got %+v", v)
 	}
-	v, err = CheckMutex(LockSpec{Kind: PetersonTSO}, 2, 1, TSO, 2_000_000)
+	v, err = CheckMutexCtx(context.Background(), LockSpec{Kind: PetersonTSO}, 2, 1, TSO, CheckOptions{Budget: Budget{MaxStates: 2_000_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestCheckMutexRandomFacade(t *testing.T) {
 }
 
 func TestSeparationMatrix(t *testing.T) {
-	rows, err := SeparationMatrix(3_000_000)
+	rows, err := SeparationMatrixCtx(context.Background(), CheckOptions{Budget: Budget{MaxStates: 3_000_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +452,7 @@ func TestMeasureLockRepeatedAmortization(t *testing.T) {
 }
 
 func TestWitnessScheduleReplay(t *testing.T) {
-	v, err := CheckMutex(LockSpec{Kind: BakeryTSO}, 2, 1, PSO, 3_000_000)
+	v, err := CheckMutexCtx(context.Background(), LockSpec{Kind: BakeryTSO}, 2, 1, PSO, CheckOptions{Budget: Budget{MaxStates: 3_000_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +502,7 @@ func TestMeasureLockContended(t *testing.T) {
 
 func TestCheckFCFSFacade(t *testing.T) {
 	// Bakery: FCFS proved.
-	v, err := CheckFCFS(LockSpec{Kind: Bakery}, 2, PSO, 5_000_000)
+	v, err := CheckFCFSCtx(context.Background(), LockSpec{Kind: Bakery}, 2, PSO, CheckOptions{Budget: Budget{MaxStates: 5_000_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +510,7 @@ func TestCheckFCFSFacade(t *testing.T) {
 		t.Fatalf("bakery FCFS verdict: %+v", v)
 	}
 	// GT_2 with 3 processes: overtake found.
-	v, err = CheckFCFS(LockSpec{Kind: GT, F: 2}, 3, PSO, 8_000_000)
+	v, err = CheckFCFSCtx(context.Background(), LockSpec{Kind: GT, F: 2}, 3, PSO, CheckOptions{Budget: Budget{MaxStates: 8_000_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,13 +518,13 @@ func TestCheckFCFSFacade(t *testing.T) {
 		t.Fatalf("GT_2 FCFS verdict: %+v", v)
 	}
 	// Tournament: no doorway, FCFS undefined.
-	if _, err := CheckFCFS(LockSpec{Kind: Tournament}, 2, PSO, 1000); err == nil {
+	if _, err := CheckFCFSCtx(context.Background(), LockSpec{Kind: Tournament}, 2, PSO, CheckOptions{Budget: Budget{MaxStates: 1000}}); err == nil {
 		t.Error("tournament FCFS check should be rejected")
 	}
 }
 
 func TestCheckLivenessFacade(t *testing.T) {
-	v, err := CheckLiveness(LockSpec{Kind: Peterson}, 2, 1, PSO, 2_000_000)
+	v, err := CheckLivenessCtx(context.Background(), LockSpec{Kind: Peterson}, 2, 1, PSO, CheckOptions{Budget: Budget{MaxStates: 2_000_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,14 +541,14 @@ func TestFacadeErrorPaths(t *testing.T) {
 	if _, err := NewSystem(bad, Count, 2); err == nil {
 		t.Error("unknown lock kind accepted by NewSystem")
 	}
-	if _, err := CheckMutex(bad, 2, 1, PSO, 100); err == nil {
-		t.Error("unknown lock kind accepted by CheckMutex")
+	if _, err := CheckMutexCtx(context.Background(), bad, 2, 1, PSO, CheckOptions{Budget: Budget{MaxStates: 100}}); err == nil {
+		t.Error("unknown lock kind accepted by CheckMutexCtx")
 	}
-	if _, err := CheckLiveness(bad, 2, 1, PSO, 100); err == nil {
-		t.Error("unknown lock kind accepted by CheckLiveness")
+	if _, err := CheckLivenessCtx(context.Background(), bad, 2, 1, PSO, CheckOptions{Budget: Budget{MaxStates: 100}}); err == nil {
+		t.Error("unknown lock kind accepted by CheckLivenessCtx")
 	}
-	if _, err := CheckFCFS(bad, 2, PSO, 100); err == nil {
-		t.Error("unknown lock kind accepted by CheckFCFS")
+	if _, err := CheckFCFSCtx(context.Background(), bad, 2, PSO, CheckOptions{Budget: Budget{MaxStates: 100}}); err == nil {
+		t.Error("unknown lock kind accepted by CheckFCFSCtx")
 	}
 	if _, err := MeasureLock(bad, 4); err == nil {
 		t.Error("unknown lock kind accepted by MeasureLock")

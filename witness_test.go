@@ -74,7 +74,7 @@ func TestCheckMutexWitnessPipeline(t *testing.T) {
 // with randomized coverage — not an "inconclusive" verdict that looks like
 // a clean non-violation.
 func TestCheckMutexDegradedVerdict(t *testing.T) {
-	v, err := CheckMutex(LockSpec{Kind: Bakery}, 2, 1, PSO, 30)
+	v, err := CheckMutexCtx(context.Background(), LockSpec{Kind: Bakery}, 2, 1, PSO, CheckOptions{Budget: Budget{MaxStates: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,19 +151,12 @@ func TestTradeoffSweepCtxCancellation(t *testing.T) {
 func TestCheckLivenessCtxBudgetTrip(t *testing.T) {
 	v, err := CheckLivenessCtx(context.Background(), LockSpec{Kind: Bakery}, 2, 1, PSO,
 		CheckOptions{Budget: Budget{MaxStates: 10}})
-	if !errors.Is(err, ErrBudgetExceeded) {
+	if !errors.Is(err, ErrBudgetExceeded) || !IsLimit(err) {
 		t.Fatalf("want budget error, got %v", err)
 	}
+	// The trip leaves an inconclusive verdict, not a proof.
 	if v == nil || v.Complete || v.DeadlockFree {
 		t.Fatalf("partial liveness verdict wrong: %+v", v)
-	}
-	// The legacy wrapper absorbs the trip into an inconclusive verdict.
-	lv, err := CheckLiveness(LockSpec{Kind: Bakery}, 2, 1, PSO, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lv.Complete {
-		t.Fatal("10-state liveness check cannot be complete")
 	}
 }
 
@@ -204,7 +197,7 @@ func TestParseLockSpecAndModel(t *testing.T) {
 func TestGoldenWitnessReplays(t *testing.T) {
 	path := filepath.Join("testdata", "peterson-tso_pso.witness.json")
 	if os.Getenv("UPDATE_GOLDEN_WITNESS") != "" {
-		v, err := CheckMutex(LockSpec{Kind: PetersonTSO}, 2, 1, PSO, 3_000_000)
+		v, err := CheckMutexCtx(context.Background(), LockSpec{Kind: PetersonTSO}, 2, 1, PSO, CheckOptions{Budget: Budget{MaxStates: 3_000_000}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +240,7 @@ func TestGoldenWitnessReplays(t *testing.T) {
 func TestGoldenRMEWitnessReplays(t *testing.T) {
 	path := filepath.Join("testdata", "rme-rtas-unsafe_sc.witness.json")
 	if os.Getenv("UPDATE_GOLDEN_WITNESS") != "" {
-		v, err := CheckRME("rtas-unsafe", 2, 1, SC, 1, 3_000_000)
+		v, err := CheckRMECtx(context.Background(), "rtas-unsafe", 2, 1, SC, CheckOptions{Budget: Budget{MaxStates: 3_000_000}, Faults: &FaultPlan{MaxCrashes: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
