@@ -255,7 +255,7 @@ func (s *Subject) stateKey(c *machine.Config, crashes, maxCrashes int, mon uint6
 // Exhaustive is the work-stealing engine (ExhaustiveParallel) at one
 // worker; opts.Workers is ignored. The worker walks a single configuration
 // with an undo trail instead of cloning per candidate edge: each
-// transition is taken in place with machine.Config.StepUndo and rolled
+// transition is taken in place with machine.Config.StepInto and rolled
 // back with Undo.Revert on backtrack. Enumeration order (⊥, committable
 // registers ascending, crash) and budget metering are those of the
 // historical clone-per-edge search, so verdicts, witnesses, state counts

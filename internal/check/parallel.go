@@ -12,7 +12,9 @@
 // Shared state is minimal: a sharded concurrent visited set over the
 // 16-byte StateKeys (machine.VisitedSet — fixed shard count derived from
 // the key, independent of the worker count), a shared budget meter
-// (run.SharedMeter), and a mutex-protected steal queue.
+// (run.SharedMeter), and a mutex-protected steal queue. Each worker steps
+// straight into its trail's next slot (machine.Config.StepInto) and counts
+// its own charges, adding them to the meter in batches (see chargeStep).
 //
 // This is the only exhaustive walker. Exhaustive runs it at one worker;
 // FCFS checking runs it with a path monitor (Subject.Monitor), whose state
@@ -147,6 +149,8 @@ type wsEngine struct {
 	plog       *machine.PassageLog
 	graph      *graphRecorder // liveness runs (one worker): told every transition
 	stateBytes int64          // budget charge per interned state
+	capSteps   bool           // the budget caps steps: charge each one to the meter
+	capStates  bool           // the budget caps states or memory: likewise
 	policy     *CheckpointPolicy
 	identity   string
 	rootKey    string
@@ -187,15 +191,22 @@ type wsWorker struct {
 	e       *wsEngine
 	cfg     *machine.Config
 	path    machine.Schedule
-	trail   []machine.Undo
+	trail   []machine.Undo // trail[i] undoes path[i]
 	frames  []wsFrame
 	donHint int   // frames below this index have no stealable elements
 	lastGen int64 // last generation the chaos hook was consulted at
 	entry   wsEntry
 
+	// Charges not yet on the shared meter (see chargeStep): steps,
+	// states, fresh states not yet counted toward the next snapshot, and
+	// the charges made since the last flush.
+	steps, states, fresh int64
+	charges              int
+
 	// Reusable scratch.
-	regs []machine.Reg
-	in   []int
+	regs  []machine.Reg
+	in    []int
+	probe machine.Undo // tryAmple's probe steps
 }
 
 // ExhaustiveParallel explores every schedule of the subject under the
@@ -280,6 +291,8 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 		meter:      run.NewSharedMeter(ctx, opts.Budget),
 		graph:      graph,
 		stateBytes: machine.StateKeySize + stateKeyOverhead,
+		capSteps:   opts.Budget.MaxSteps > 0,
+		capStates:  opts.Budget.MaxStates > 0 || opts.Budget.MaxMemEstimate > 0,
 		policy:     opts.Checkpoint,
 		contribs:   make([]*CheckpointStack, workers),
 	}
@@ -347,13 +360,16 @@ func (s *Subject) runWS(ctx context.Context, model machine.Model, opts Opts, rs 
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			w := &wsWorker{id: id, e: e, lastGen: e.genFlag.Load()}
+			// Everything the worker charged is on the meter before the
+			// run reads it for its result or a final snapshot.
+			defer w.flush()
 			defer func() {
 				if r := recover(); r != nil {
 					e.fail(&WorkerError{Level: int(e.genFlag.Load()), Worker: id,
 						Err: fmt.Errorf("panic: %v", r)})
 				}
 			}()
-			w := &wsWorker{id: id, e: e, lastGen: e.genFlag.Load()}
 			cfg, err := s.Build(model)
 			if err != nil {
 				e.fail(err)
@@ -450,8 +466,12 @@ func (e *wsEngine) foundViolation(path machine.Schedule, in []int) {
 // next blocks until a frontier entry is available, the engine stops, or
 // the whole exploration completes (every worker idle, nothing queued,
 // nobody paused). During a checkpoint barrier the queue is frozen — idle
-// workers count themselves into the barrier instead of popping.
+// workers count themselves into the barrier instead of popping. The
+// worker flushes its charges first, since it may park or complete a
+// barrier here; a failed context or wall check is left for the next
+// charge to report.
 func (e *wsEngine) next(w *wsWorker) (wsEntry, bool) {
+	_ = w.flush()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for {
@@ -515,8 +535,7 @@ func (e *wsEngine) donate(w *wsWorker, f *wsFrame) error {
 		e.mu.Unlock()
 		return nil
 	}
-	if err := e.meter.AddStep(); err != nil {
-		e.meter.Refund(1, 0, 0)
+	if err := w.chargeStep(); err != nil {
 		e.mu.Unlock()
 		return err
 	}
@@ -537,22 +556,98 @@ func (e *wsEngine) donate(w *wsWorker, f *wsFrame) error {
 	return nil
 }
 
-// requestSnapshot flags a checkpoint barrier when enough fresh states have
-// been interned since the last snapshot. Cheap enough for the per-state
-// hot path: one atomic add and one load.
-func (e *wsEngine) requestSnapshot() {
+// requestSnapshot adds n fresh states to the count since the last
+// snapshot and flags a checkpoint barrier once it reaches the threshold.
+// Workers add their fresh states when they flush, so the threshold is a
+// floor: a barrier may come up to one flush per worker late.
+func (e *wsEngine) requestSnapshot(n int64) {
 	if e.policy == nil {
 		return
 	}
-	if e.sinceCk.Add(1) >= e.threshold.Load() {
+	if e.sinceCk.Add(n) >= e.threshold.Load() {
 		e.ckWant.Store(true)
 	}
+}
+
+// flushEvery is how many charges a worker batches before it adds them to
+// the shared meter.
+const flushEvery = 256
+
+// chargeStep charges one step and chargeState one fresh state. The worker
+// counts them and adds them to the shared meter at its next flush: every
+// flushEvery charges, so no shared cache line is written per edge, and at
+// once when the budget caps the charged resource, so a capped run trips
+// at exactly the charge a one-worker run always tripped at. A failed
+// charge is refunded (the failed flush put it on the meter) and returned.
+func (w *wsWorker) chargeStep() error {
+	w.steps++
+	if err := w.charged(w.e.capSteps); err != nil {
+		w.e.meter.Refund(1, 0, 0)
+		return err
+	}
+	return nil
+}
+
+func (w *wsWorker) chargeState() error {
+	w.states++
+	w.fresh++
+	if err := w.charged(w.e.capStates); err != nil {
+		w.e.meter.Refund(0, 1, w.e.stateBytes)
+		return err
+	}
+	return nil
+}
+
+// charged counts one charge and flushes when it is capped or the batch
+// is full.
+func (w *wsWorker) charged(capped bool) error {
+	if w.charges++; capped || w.charges >= flushEvery {
+		return w.flush()
+	}
+	return nil
+}
+
+// refundStep gives back a step chargeStep charged and the engine did not
+// take: from the pending count while it holds one, from the meter
+// otherwise.
+func (w *wsWorker) refundStep() {
+	if w.steps > 0 {
+		w.steps--
+	} else {
+		w.e.meter.Refund(1, 0, 0)
+	}
+}
+
+// flush adds the worker's pending charges to the shared meter and its
+// fresh states to the snapshot cadence. Workers also flush before every
+// barrier, idle park and exit, so the meter is exact whenever a snapshot
+// or the result reads it. The charges stay on the meter when a cap or the
+// meter's context and wall check fails.
+func (w *wsWorker) flush() error {
+	e := w.e
+	w.charges = 0
+	var err error
+	if w.steps != 0 {
+		err = e.meter.AddSteps(w.steps)
+		w.steps = 0
+	}
+	if w.states != 0 {
+		if serr := e.meter.AddStates(w.states, w.states*e.stateBytes); err == nil {
+			err = serr
+		}
+		w.states = 0
+	}
+	if w.fresh != 0 {
+		e.requestSnapshot(w.fresh)
+		w.fresh = 0
+	}
+	return err
 }
 
 // barrier parks an exploring worker at the checkpoint barrier: its stack
 // is serialized as its contribution, and the last worker in (counting the
 // idle ones) writes the snapshot. Returns when the snapshot is done (or
-// abandoned because the engine stopped).
+// abandoned because the engine stopped). The caller has flushed.
 func (e *wsEngine) barrier(w *wsWorker) {
 	contrib := w.serializeStack()
 	e.mu.Lock()
@@ -658,6 +753,9 @@ func (w *wsWorker) checkFlags() error {
 		return errStopped
 	}
 	if e.ckWant.Load() {
+		if err := w.flush(); err != nil {
+			return err
+		}
 		e.barrier(w)
 		if e.stopFlag.Load() {
 			return errStopped
@@ -714,6 +812,33 @@ func (w *wsWorker) serializeStack() *CheckpointStack {
 		})
 	}
 	return st
+}
+
+// stepEdge steps el into the next slot of the undo trail and appends it
+// to the path. An element that produces no step, or fails, leaves both
+// as they were.
+func (w *wsWorker) stepEdge(el machine.Elem) (machine.StepRecord, bool, error) {
+	n := len(w.trail)
+	if n < cap(w.trail) {
+		w.trail = w.trail[:n+1]
+	} else {
+		w.trail = append(w.trail, machine.Undo{})
+	}
+	rec, took, err := w.cfg.StepInto(el, &w.trail[n])
+	if err != nil || !took {
+		w.trail = w.trail[:n]
+		return rec, false, err
+	}
+	w.path = append(w.path, el)
+	return rec, true, nil
+}
+
+// popEdge reverts the newest trail step and drops it from the path.
+func (w *wsWorker) popEdge() {
+	last := len(w.trail) - 1
+	w.trail[last].Revert()
+	w.trail = w.trail[:last]
+	w.path = w.path[:last]
 }
 
 // unwindAll reverts the whole undo trail, returning the configuration to
@@ -808,7 +933,7 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 		if e.stopFlag.Load() {
 			return w.abortWith(errStopped)
 		}
-		rec, took, u, err := w.cfg.StepUndo(el)
+		rec, took, err := w.stepEdge(el)
 		if err != nil || !took {
 			if err == nil {
 				err = fmt.Errorf("check: frontier entry %q does not replay", ent.sched)
@@ -816,11 +941,9 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 			w.unwindAll()
 			return err
 		}
-		if mon, err = w.observe(mon, el, rec); err != nil {
+		if mon, err = w.observe(mon, rec); err != nil {
 			return err
 		}
-		w.path = append(w.path, el)
-		w.trail = append(w.trail, u)
 		if el.Crash {
 			crashes++
 		}
@@ -837,7 +960,7 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 		return nil
 	}
 	if hasFinal {
-		rec, took, u, err := w.cfg.StepUndo(final)
+		rec, took, err := w.stepEdge(final)
 		if err != nil {
 			w.unwindAll()
 			return err
@@ -849,11 +972,9 @@ func (w *wsWorker) materialize(ent wsEntry) error {
 			w.unwindAll()
 			return nil
 		}
-		if mon, err = w.observe(mon, final, rec); err != nil {
+		if mon, err = w.observe(mon, rec); err != nil {
 			return err
 		}
-		w.path = append(w.path, final)
-		w.trail = append(w.trail, u)
 		if final.Crash {
 			crashes++
 		}
@@ -890,12 +1011,10 @@ func (w *wsWorker) visit(crashes int, mon uint64) (pushed bool, err error) {
 	}
 	fresh := e.visited.TryVisit(key)
 	if fresh {
-		if err := e.meter.AddState(e.stateBytes); err != nil {
+		if err := w.chargeState(); err != nil {
 			e.visited.Remove(key)
-			e.meter.Refund(0, 1, e.stateBytes)
 			return false, err
 		}
-		e.requestSnapshot()
 	}
 	if e.graph != nil {
 		if err := e.graph.transition(w.cfg, w.path, key); err != nil {
@@ -919,17 +1038,17 @@ func (w *wsWorker) visit(crashes int, mon uint64) (pushed bool, err error) {
 }
 
 // observe advances the subject's path monitor (if any) from state mon over
-// the step el just took. A flagged step is the run's violation: it is
-// recorded with the witness path+el and errStopped is returned, leaving the
-// step unrecorded on the trail of a worker that is about to exit.
-func (w *wsWorker) observe(mon uint64, el machine.Elem, rec machine.StepRecord) (uint64, error) {
+// the step just taken, the last element of the path. A flagged step is
+// the run's violation: it is recorded with the path as its witness and
+// errStopped is returned to a worker that is about to exit.
+func (w *wsWorker) observe(mon uint64, rec machine.StepRecord) (uint64, error) {
 	m := w.e.s.Monitor
 	if m == nil {
 		return 0, nil
 	}
 	next, bad := m(mon, rec)
 	if bad {
-		w.e.foundViolation(append(w.path, el), nil)
+		w.e.foundViolation(w.path, nil)
 		return 0, errStopped
 	}
 	return next, nil
@@ -1004,7 +1123,7 @@ func (w *wsWorker) tryAmple(f *wsFrame, crashes int) (bool, error) {
 		elems = append(elems, machine.PCrash(amp))
 	}
 	for _, el := range elems {
-		_, took, u, err := c.StepUndo(el)
+		_, took, err := c.StepInto(el, &w.probe)
 		if err != nil {
 			return false, err
 		}
@@ -1012,7 +1131,7 @@ func (w *wsWorker) tryAmple(f *wsFrame, crashes int) (bool, error) {
 			return false, nil
 		}
 		in, err := e.s.InCS(c, amp)
-		u.Revert()
+		w.probe.Revert()
 		if err != nil || in {
 			return false, err
 		}
@@ -1044,25 +1163,22 @@ func (w *wsWorker) explore() error {
 				continue
 			}
 		}
-		if err := e.meter.AddStep(); err != nil {
-			e.meter.Refund(1, 0, 0)
+		if err := w.chargeStep(); err != nil {
 			return err
 		}
 		el := f.elems[f.next]
 		f.next++
-		rec, took, u, err := w.cfg.StepUndo(el)
+		rec, took, err := w.stepEdge(el)
 		if err != nil {
 			return err
 		}
 		if !took {
 			continue
 		}
-		mon, err := w.observe(f.mon, el, rec)
+		mon, err := w.observe(f.mon, rec)
 		if err != nil {
 			return err
 		}
-		w.path = append(w.path, el)
-		w.trail = append(w.trail, u)
 		nc := f.crashes
 		if el.Crash {
 			nc++
@@ -1076,20 +1192,14 @@ func (w *wsWorker) explore() error {
 				// visit already rolled back its interning; the frame slice
 				// may have been reallocated by a push, so re-take the top
 				// pointer.
-				last := len(w.trail) - 1
-				w.trail[last].Revert()
-				w.trail = w.trail[:last]
-				w.path = w.path[:len(w.path)-1]
+				w.popEdge()
 				w.frames[len(w.frames)-1].next--
-				e.meter.Refund(1, 0, 0)
+				w.refundStep()
 			}
 			return verr
 		}
 		if !pushed {
-			last := len(w.trail) - 1
-			w.trail[last].Revert()
-			w.trail = w.trail[:last]
-			w.path = w.path[:len(w.path)-1]
+			w.popEdge()
 		}
 	}
 	return nil

@@ -460,7 +460,9 @@ func TestParallelKillDuringStealRace(t *testing.T) {
 // successor is charged once, at descent or when it is donated, and a
 // snapshot's stacks hold only uncharged successors. The total is pinned
 // through the steps budget: a budget of exactly the total completes, one
-// step less trips.
+// step less trips. An uncapped run's workers count their charges locally,
+// so the kill case also pins that every worker flushes before a barrier
+// reads the meter: the barrier snapshot's States equals its shard keys.
 func TestStepTotalsExact(t *testing.T) {
 	const states, steps = 77594, 249667
 	s, err := NewMutexSubject("bakery", locks.NewBakery, 3, 1)
@@ -507,6 +509,13 @@ func TestStepTotalsExact(t *testing.T) {
 	ck, err := ReadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	shardKeys := 0
+	for _, shard := range ck.Shards {
+		shardKeys += len(shard)
+	}
+	if ck.States != int64(shardKeys) {
+		t.Fatalf("barrier snapshot charges %d states for %d shard keys", ck.States, shardKeys)
 	}
 	res, err := s.ResumeExhaustiveParallel(bg(), machine.PSO, ck, budget(2, steps))
 	requireProof("resumed at workers=2", res, err)

@@ -99,15 +99,6 @@ type ProcState struct {
 	retValue Value
 
 	err error
-
-	// key caches the settled or halted state's key component input —
-	// KeyTagProc, the PID as a uvarint, then the AppendStateKey
-	// segment — and keyHash its hash; both are valid iff keyOK. Every
-	// mutation of encoded state (advance, CompleteReturn) clears keyOK;
-	// CopyFrom carries the cache and Clone drops it.
-	key     []byte
-	keyHash [2]uint64
-	keyOK   bool
 }
 
 // NewProcState returns the initial state of process pid (of n) executing
@@ -119,39 +110,35 @@ func NewProcState(prog *Program, pid, n int) *ProcState {
 }
 
 // reset makes s the initial state of process pid (of n) executing prog,
-// reusing s's storage for the locals, the control stack and the key cache.
+// reusing s's storage for the locals and the control stack.
 func (s *ProcState) reset(prog *Program, ci *codeIndex, pid, n int) {
-	env, frames, key := s.env, s.frames[:0], s.key[:0]
+	env, frames := s.env, s.frames[:0]
 	env.reset(ci, pid, n)
 	*s = ProcState{
 		prog:   prog,
 		env:    env,
 		frames: append(frames, frame{blk: ci.body}),
-		key:    key,
 	}
 }
 
 // Clone returns an independent deep copy of the state: two slice copies
-// (locals and control stack), no per-variable work. The copy carries no
-// cached key, so its next AppendStateKey or KeyHash encodes afresh.
+// (locals and control stack), no per-variable work.
 func (s *ProcState) Clone() *ProcState {
 	c := *s
 	c.env.mem = append([]Value(nil), s.env.mem...)
 	c.frames = append([]frame(nil), s.frames...)
-	c.key, c.keyOK = nil, false
 	return &c
 }
 
-// CopyFrom makes s an independent copy of src, cached key included,
-// reusing s's storage for the locals, the control stack and the cache:
-// once s has held a state of src's size, the copy allocates nothing. The
-// machine's rule-4 undo snapshot is a CopyFrom into recycled storage.
+// CopyFrom makes s an independent copy of src, reusing s's storage for
+// the locals and the control stack: once s has held a state of src's
+// size, the copy allocates nothing. The machine's rule-4 undo snapshot is
+// a CopyFrom into recycled storage.
 func (s *ProcState) CopyFrom(src *ProcState) {
 	mem := append(s.env.mem[:0], src.env.mem...)
 	frames := append(s.frames[:0], src.frames...)
-	key := append(s.key[:0], src.key...)
 	*s = *src
-	s.env.mem, s.frames, s.key = mem, frames, key
+	s.env.mem, s.frames = mem, frames
 }
 
 // PID returns the process identifier this state was instantiated with.
@@ -364,7 +351,7 @@ func (s *ProcState) poisedAt() *instr {
 // When the pending op came from the implicit end-of-program return there is
 // no frame to advance.
 func (s *ProcState) advance() {
-	s.settled, s.keyOK = false, false
+	s.settled = false
 	if len(s.frames) == 0 {
 		return
 	}
@@ -438,7 +425,7 @@ func (s *ProcState) CompleteReturn() error {
 	s.retValue = op.Val
 	// The control stack keeps its capacity for a later CopyFrom.
 	s.frames = s.frames[:0]
-	s.settled, s.keyOK = false, false
+	s.settled = false
 	return nil
 }
 

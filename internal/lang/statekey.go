@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"sort"
-
-	"tradingfences/internal/murmur"
 )
 
 // This file compiles a Program against a code index that gives every
@@ -265,48 +263,9 @@ const (
 //
 // Callers must settle the state first (call NextOp) so pending local
 // computation does not make semantically equal states look different.
-//
-// The encoding of a settled or halted state is cached in the state,
-// together with its KeyHash, and later calls copy it until the state next
-// changes: a step changes one process, and the other processes' segments
-// are copied, not re-encoded.
+// Nothing is cached: the machine keeps each process's key component
+// itself and encodes a process again only after a step changed it.
 func (s *ProcState) AppendStateKey(buf []byte) []byte {
-	s.refreshKey()
-	return append(buf, s.key[1+uvarintLen(uint64(s.env.PID)):]...)
-}
-
-// KeyTagProc opens the hash input of a process's state-key component (see
-// KeyHash). The machine tags its other components with other bytes.
-const KeyTagProc = 0x03
-
-// KeyHash returns the process's component of the machine's state key: the
-// MurmurHash3 x64_128 hash of KeyTagProc, the PID as a uvarint and the
-// AppendStateKey segment. It is cached with the segment, so only a state
-// that changed since its last key is hashed again. Callers must settle
-// the state first, as for AppendStateKey.
-func (s *ProcState) KeyHash() (h1, h2 uint64) {
-	s.refreshKey()
-	return s.keyHash[0], s.keyHash[1]
-}
-
-// refreshKey re-encodes and re-hashes the key component when the cache is
-// stale. A state that is neither settled nor halted is encoded but not
-// cached, since settling will change it.
-func (s *ProcState) refreshKey() {
-	if s.keyOK {
-		return
-	}
-	b := append(s.key[:0], KeyTagProc)
-	b = binary.AppendUvarint(b, uint64(s.env.PID))
-	s.key = s.appendStateKey(b)
-	s.keyHash[0], s.keyHash[1] = murmur.Sum128(s.key)
-	s.keyOK = s.settled || s.halted
-}
-
-// uvarintLen is the length of x's uvarint encoding.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-func (s *ProcState) appendStateKey(buf []byte) []byte {
 	if s.halted {
 		buf = append(buf, stateTagHalted)
 		return binary.AppendVarint(buf, s.retValue)

@@ -217,6 +217,7 @@ func (c *Config) crashStep(p int, u *Undo) (StepRecord, bool, error) {
 	c.wbs[p] = c.spareBuffer()
 	c.procs[p] = ps.CrashRestart(c.spareProc())
 	clear(known)
+	c.touch(p, partProc|partBuf)
 
 	c.stats.Crashes[p]++
 	c.stats.Steps[p]++

@@ -3,7 +3,6 @@ package machine
 import (
 	"encoding/binary"
 
-	"tradingfences/internal/lang"
 	"tradingfences/internal/murmur"
 )
 
@@ -12,8 +11,8 @@ import (
 //
 //   - one per non-zero register r holding v: the hash of keyTagMem,
 //     uvarint(r), varint(v);
-//   - one per process p: the hash of lang.KeyTagProc, uvarint(p) and p's
-//     key segment (lang.ProcState.KeyHash);
+//   - one per process p: the hash of keyTagProc, uvarint(p) and p's
+//     settled lang.ProcState.AppendStateKey segment;
 //   - one per non-empty write buffer of process p: the hash of keyTagBuf,
 //     uvarint(p) and the buffer's entries as AppendStateBytes encodes
 //     them (reorder ages included while a bound is active).
@@ -26,17 +25,22 @@ import (
 //
 // A step changes one process, at most one register and at most one
 // buffer, so keys are kept incrementally. The memory sum is updated by
-// setMem, the one writer of shared memory; each process caches its
-// component beside its key segment; each write buffer caches its own and
-// drops it on every mutation. Keying a visited state then settles the
-// processes, re-hashes only the dirty components and adds 2n+1 values.
-// Clone drops every cache, so the key of a clone is computed from scratch.
+// setMem, the one writer of shared memory. Every process and buffer
+// component lives in the configuration's key cache (keyParts) beside
+// their running sum, and a step marks stale only the components it
+// touched (touch). Keying a visited state re-hashes just those; an undo
+// record keeps the stepping process's two components and the stale mark
+// as the step found them, so Revert puts them back and the parent state
+// needs no hashing at all. The cache starts wholly stale — after
+// NewConfig, Clone and SetReorderBound, or once steps of two processes
+// were taken without a key between them — and the next key then hashes
+// every component.
 
 // Component tags: the first byte of every component's hash input.
 const (
 	keyTagMem  = 0x01
 	keyTagBuf  = 0x02
-	keyTagProc = lang.KeyTagProc
+	keyTagProc = 0x03
 	// KeyTagCrashes tags the spent crash budget folded into a key (see
 	// StateKey.Fold).
 	KeyTagCrashes = 0x04
@@ -120,19 +124,67 @@ func (c *Config) memoryKey() hash128 {
 	return c.memSum
 }
 
-// bufferKey returns process p's buffer component, from the buffer's cache
-// when it is current.
-func (c *Config) bufferKey(p int) hash128 {
+// keyMark says which components of the key cache may be out of date: p
+// is the one process whose components may be stale, and what says which
+// of them (partProc, partBuf or both). p is noneStale when every cached
+// component is current and allStale when none may be trusted.
+type keyMark struct {
+	p    int32
+	what uint8
+}
+
+const (
+	noneStale = -1
+	allStale  = -2
+
+	partProc uint8 = 1 << 0
+	partBuf  uint8 = 1 << 1
+)
+
+// touch marks the components in what of process p stale. A step touches
+// one process's components; when another process's are already stale —
+// a replay of several steps with no key between them — the whole cache
+// goes stale.
+func (c *Config) touch(p int, what uint8) {
+	switch c.keyMark.p {
+	case int32(p):
+		c.keyMark.what |= what
+	case noneStale:
+		c.keyMark = keyMark{p: int32(p), what: what}
+	default:
+		c.keyMark.p = allStale
+	}
+}
+
+// setPart replaces cached component i and keeps partSum their sum.
+func (c *Config) setPart(i int, h hash128) {
+	c.partSum = c.partSum.sub(c.keyParts[i]).add(h)
+	c.keyParts[i] = h
+}
+
+// procPart hashes process p's component, settling the process first.
+func (c *Config) procPart(p int) (hash128, error) {
+	ps := c.procs[p]
+	if !ps.Halted() {
+		if _, _, err := ps.NextOp(); err != nil {
+			return hash128{}, err
+		}
+	}
+	b := append(c.keyBuf[:0], keyTagProc)
+	b = binary.AppendUvarint(b, uint64(p))
+	c.keyBuf = ps.AppendStateKey(b)
+	return sum128(c.keyBuf), nil
+}
+
+// bufferPart hashes process p's buffer component (zero for an empty
+// buffer).
+func (c *Config) bufferPart(p int) hash128 {
 	b := c.wbs[p]
 	n := b.len()
 	if n == 0 {
 		return hash128{}
 	}
-	if h, ok := b.cachedKey(); ok {
-		return h
-	}
-	var scratch [128]byte // holds a few entries without allocating
-	buf := append(scratch[:0], keyTagBuf)
+	buf := append(c.keyBuf[:0], keyTagBuf)
 	buf = binary.AppendUvarint(buf, uint64(p))
 	buf = binary.AppendUvarint(buf, uint64(n))
 	for i := 0; i < n; i++ {
@@ -143,24 +195,42 @@ func (c *Config) bufferKey(p int) hash128 {
 			buf = append(buf, c.wbAges[p*c.cacheStride+int(w.Reg)])
 		}
 	}
-	h := sum128(buf)
-	b.setCachedKey(h)
-	return h
+	c.keyBuf = buf
+	return sum128(buf)
+}
+
+// refreshPart re-hashes process p's stale components among what.
+func (c *Config) refreshPart(p int, what uint8) error {
+	if what&partProc != 0 {
+		h, err := c.procPart(p)
+		if err != nil {
+			return err
+		}
+		c.setPart(2*p, h)
+	}
+	if what&partBuf != 0 {
+		c.setPart(2*p+1, c.bufferPart(p))
+	}
+	return nil
 }
 
 // StateKey returns the configuration's state key: the sum of its
-// component hashes. Processes are settled first, as AppendStateBytes
-// settles them.
+// component hashes. Only the components the key cache marks stale are
+// hashed again, their processes settled first as AppendStateBytes
+// settles them; a process whose component is current is settled already.
 func (c *Config) StateKey() (StateKey, error) {
-	s := c.memoryKey()
-	for p, ps := range c.procs {
-		if !ps.Halted() {
-			if _, _, err := ps.NextOp(); err != nil {
+	switch m := c.keyMark; {
+	case m.p == allStale:
+		for p := 0; p < c.n; p++ {
+			if err := c.refreshPart(p, partProc|partBuf); err != nil {
 				return StateKey{}, err
 			}
 		}
-		h1, h2 := ps.KeyHash()
-		s = s.add(hash128{h1, h2}).add(c.bufferKey(p))
+	case m.p >= 0:
+		if err := c.refreshPart(int(m.p), m.what); err != nil {
+			return StateKey{}, err
+		}
 	}
-	return s.key(), nil
+	c.keyMark = keyMark{p: noneStale}
+	return c.memoryKey().add(c.partSum).key(), nil
 }

@@ -9,10 +9,14 @@ import (
 	"tradingfences/internal/lang"
 )
 
+// invalidateKeyCache marks every cached key component stale, for tests
+// that rearrange a configuration's state behind the step rules' back.
+func (c *Config) invalidateKeyCache() { c.keyMark = keyMark{p: allStale} }
+
 // referenceKey computes the state key from its definition in keysum.go,
 // without any cache: the hashes of the tagged, positioned component
-// inputs, summed per 64-bit half. The process segments come from clones,
-// which carry no cached key.
+// inputs, summed per 64-bit half. The processes are settled on clones, so
+// keying leaves c untouched.
 func referenceKey(t *testing.T, c *Config) StateKey {
 	t.Helper()
 	var s hash128
@@ -99,8 +103,7 @@ func TestStateKeyPositions(t *testing.T) {
 	step(t, c, PBottom(1))
 	k := key(t, c)
 	c.wbs[0], c.wbs[1] = c.wbs[1], c.wbs[0]
-	c.wbs[0].dropKey()
-	c.wbs[1].dropKey()
+	c.invalidateKeyCache()
 	if key(t, c) == k {
 		t.Fatal("swapping two processes' buffers kept the key")
 	}

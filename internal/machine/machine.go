@@ -98,6 +98,17 @@ type Config struct {
 	memSum   hash128
 	memSumOK bool
 
+	// The state key's cache (keysum.go): keyParts[2p] is process p's
+	// component and keyParts[2p+1] its buffer's, partSum their sum, and
+	// keyMark says which of them a step left stale. keyEpoch counts
+	// SetReorderBound calls, so a Revert never restores components that
+	// were hashed under another bound. keyBuf is hashing scratch.
+	keyParts []hash128
+	partSum  hash128
+	keyMark  keyMark
+	keyEpoch uint32
+	keyBuf   []byte
+
 	// cache[p*cacheStride+r] is the last value process p read from or
 	// wrote to r, valid iff the matching cacheKnown bit is set; a read
 	// returning that same value is served by p's cache and is therefore
@@ -189,6 +200,8 @@ func NewConfig(model Model, lay *Layout, progs []*lang.Program) (*Config, error)
 		cacheStride:   stride,
 		lastCommitter: make([]int32, stride),
 		memSumOK:      true, // all registers hold 0
+		keyParts:      make([]hash128, 2*n),
+		keyMark:       keyMark{p: allStale},
 		stats:         NewStats(n),
 	}
 	for i := range c.lastCommitter {
@@ -277,8 +290,8 @@ func (c *Config) lastCommitterOf(r Reg) (int, bool) {
 
 // Clone returns an independent deep copy of the configuration (statistics
 // included, trace not: the clone starts with recording disabled). The
-// copy carries none of the state key's caches, so its key is computed
-// from scratch.
+// copy carries neither the memory sum nor the key cache, so its key is
+// computed from scratch.
 func (c *Config) Clone() *Config {
 	d := &Config{
 		model:         c.model,
@@ -295,6 +308,8 @@ func (c *Config) Clone() *Config {
 		cacheKnown:    append([]bool(nil), c.cacheKnown...),
 		cacheStride:   c.cacheStride,
 		lastCommitter: append([]int32(nil), c.lastCommitter...),
+		keyParts:      make([]hash128, 2*c.n),
+		keyMark:       keyMark{p: allStale},
 		stats:         c.stats.Clone(),
 	}
 	if c.passEnabled {
@@ -417,10 +432,11 @@ func (c *Config) NextOp(p int) (lang.Op, bool, error) { return c.procs[p].NextOp
 // states are reachable, and ages enter the key encoding only while a bound
 // is active).
 func (c *Config) SetReorderBound(k int) {
-	// Ages enter the buffer components only while a bound is active.
-	for _, b := range c.wbs {
-		b.dropKey()
-	}
+	// Ages enter the buffer components only while a bound is active, so
+	// every cached component is suspect, and so is every component an
+	// undo record kept from before this call.
+	c.keyMark = keyMark{p: allStale}
+	c.keyEpoch++
 	if k <= 0 || c.model == SC {
 		c.reorderBound, c.wbAges = 0, nil
 		return
@@ -478,7 +494,7 @@ func (c *Config) bumpAges(p int, skip Reg, u *Undo) {
 	if !bumped {
 		return
 	}
-	c.wbs[p].dropKey()
+	c.touch(p, partBuf)
 	if u != nil {
 		u.agesBumped = true
 		u.agesSkip = skip
@@ -498,7 +514,7 @@ func (c *Config) Step(e Elem) (rec StepRecord, took bool, err error) {
 	return c.step(e, nil)
 }
 
-// step is the shared implementation of Step and StepUndo: when u is
+// step is the shared implementation of Step and StepInto: when u is
 // non-nil, every mutation is recorded into it so Undo.Revert can restore
 // the exact prior configuration.
 func (c *Config) step(e Elem, u *Undo) (rec StepRecord, took bool, err error) {
@@ -556,6 +572,7 @@ func (c *Config) step(e Elem, u *Undo) (rec StepRecord, took bool, err error) {
 		u.prevProc = c.spareProc()
 		u.prevProc.CopyFrom(ps)
 	}
+	c.touch(p, partProc)
 	switch op.Kind {
 	case lang.OpRead:
 		return c.readStep(p, op, u)
@@ -612,6 +629,7 @@ func (c *Config) drainCandidate(p int) (r Reg, can bool) {
 // commitStep commits process p's buffered write to r and classifies it.
 func (c *Config) commitStep(p int, r Reg, u *Undo) StepRecord {
 	w := c.wbs[p].commit(r)
+	c.touch(p, partBuf)
 	c.ensureReg(w.Reg)
 	if u != nil {
 		u.bufOp = bufUncommit
@@ -765,6 +783,7 @@ func (c *Config) writeStep(p int, op lang.Op, u *Undo) (StepRecord, bool, error)
 
 	w := Write{Reg: r, Val: v}
 	replaced, old := c.wbs[p].put(w)
+	c.touch(p, partBuf)
 	if u != nil {
 		u.bufOp = bufUnput
 		u.bufWrite = w

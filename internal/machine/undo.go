@@ -2,8 +2,8 @@ package machine
 
 import "tradingfences/internal/lang"
 
-// Reversible stepping. StepUndo executes a schedule element in place —
-// no configuration clone — and returns an Undo that restores the exact
+// Reversible stepping. StepInto executes a schedule element in place —
+// no configuration clone — and fills an Undo that restores the exact
 // prior configuration, SPIN-style: the depth-first explorers step along an
 // edge, recurse, and revert on backtrack, paying a handful of cell writes
 // per edge instead of a deep copy per candidate.
@@ -25,7 +25,7 @@ import "tradingfences/internal/lang"
 // Revert swaps it back in, so the state Config.Proc returns is valid only
 // until the next step or revert of the configuration.
 //
-// Like Step, StepUndo may settle the stepping process's pending local
+// Like Step, StepInto may settle the stepping process's pending local
 // computation before deciding which rule fires; Revert does not unsettle
 // it. Settling is behaviour-invariant (state keys, fingerprints and
 // occupancy are identical before and after), so a reverted configuration
@@ -43,14 +43,13 @@ const (
 
 // Undo records the mutations of one taken step. The zero value is inert:
 // Revert on it is a no-op, so callers may unconditionally revert the undo
-// returned by StepUndo even when the element produced no step. An Undo is
-// single-shot and must be reverted in LIFO order with any later undos of
-// the same configuration.
+// of an element that produced no step. An Undo is single-shot and must be
+// reverted in LIFO order with any later undos of the same configuration.
+// StepInto fills a record the caller owns, so explorers step straight
+// into a slot of their undo trail; the record's single-byte fields sit
+// together at its end to keep it compact.
 type Undo struct {
 	c *Config
-	p int
-
-	valid bool
 
 	// Interpreter state of the stepping process before a rule-4 program
 	// step (commit steps never touch it): a copy into recycled storage,
@@ -59,45 +58,34 @@ type Undo struct {
 	// intact.
 	prevProc *lang.ProcState
 
-	// One shared-memory cell.
-	memTouched bool
-	memReg     Reg
-	memPrev    Value
+	// One shared-memory cell (memTouched).
+	memReg  Reg
+	memPrev Value
 
-	// One knowledge-cache cell of process p.
-	cacheTouched   bool
-	cacheReg       Reg
-	cachePrev      Value
-	cachePrevKnown bool
+	// One knowledge-cache cell of process p (cacheTouched).
+	cacheReg  Reg
+	cachePrev Value
 
-	// One last-committer entry.
-	lcTouched bool
-	lcReg     Reg
-	lcPrev    int32
+	// One last-committer entry (lcTouched).
+	lcReg Reg
 
-	// One write-buffer entry of process p.
-	bufOp       bufUndoOp
-	bufWrite    Write
-	bufReplaced bool
-	bufOld      Value
+	// One write-buffer entry of process p (bufOp).
+	bufWrite Write
+	bufOld   Value
 
 	// Reorder-age mutations of process p (only under an active reorder
 	// bound): a rule-4 program step bumps every buffered register's age
-	// except agesSkip, and a buffering write additionally resets its own
-	// entry (agePutReg) after saving the stale byte. Crashes never touch
-	// ages — the wiped buffer's cells simply go stale — so the crash branch
-	// needs no age restore.
-	agesBumped    bool
-	agesSkip      Reg
-	agePutTouched bool
-	agePutReg     Reg
-	agePutPrev    uint8
+	// except agesSkip (agesBumped), and a buffering write additionally
+	// resets its own entry (agePutReg) after saving the stale byte
+	// (agePutTouched). Crashes never touch ages — the wiped buffer's cells
+	// simply go stale — so the crash branch needs no age restore.
+	agesSkip  Reg
+	agePutReg Reg
 
 	// Crash-only bulk state: the replaced write buffer (kept, not copied —
 	// crashStep installs an empty recycled one) and a copy of the cache
 	// row's presence bits (a crash clears them; the value cells are
 	// untouched).
-	crashed        bool
 	prevBuf        writeBuffer
 	prevCacheKnown []bool
 
@@ -110,19 +98,43 @@ type Undo struct {
 	// Passage window of process p (only its own window can change in one
 	// step). The shared PassageLog is a watermark over the explored tree
 	// and is deliberately not rolled back.
-	passPrevOpen bool
-	passPrevCC   int64
-	passPrevDSM  int64
+	passPrevCC  int64
+	passPrevDSM int64
+
+	// The key cache as the step found it: p's process and buffer
+	// components, the stale mark, and the SetReorderBound epoch they were
+	// hashed under.
+	keyParts [2]hash128
+	keyMark  keyMark
+	keyEpoch uint32
+
+	p      int32
+	lcPrev int32
+
+	valid          bool
+	memTouched     bool
+	cacheTouched   bool
+	cachePrevKnown bool
+	lcTouched      bool
+	bufOp          bufUndoOp
+	bufReplaced    bool
+	agesBumped     bool
+	agePutTouched  bool
+	agePutPrev     uint8
+	crashed        bool
+	passPrevOpen   bool
 }
 
-// StepUndo executes the schedule element e in place, exactly like Step,
-// and additionally returns an Undo whose Revert restores the prior
-// configuration. When the element produces no step (took=false) or an
-// error, the configuration is unchanged (modulo behaviour-invariant
-// settling) and the returned Undo is inert.
-func (c *Config) StepUndo(e Elem) (rec StepRecord, took bool, u Undo, err error) {
-	u.c = c
-	u.p = e.P
+// StepInto executes the schedule element e in place, exactly like Step,
+// and records into u what Revert needs to restore the prior
+// configuration. u may hold an earlier record, reverted or never valid;
+// StepInto overwrites it. When the element produces no step (took=false)
+// or an error, the configuration is unchanged (modulo behaviour-invariant
+// settling) and u is left inert.
+func (c *Config) StepInto(e Elem, u *Undo) (rec StepRecord, took bool, err error) {
+	u.c, u.p, u.prevProc = c, int32(e.P), nil
+	u.memTouched, u.cacheTouched, u.lcTouched, u.crashed = false, false, false, false
+	u.bufOp, u.agesBumped, u.agePutTouched = bufNone, false, false
 	if e.P >= 0 && e.P < c.n {
 		u.stepsPrev = c.steps
 		u.tracePrevLen = c.trace.Len()
@@ -132,12 +144,17 @@ func (c *Config) StepUndo(e Elem) (rec StepRecord, took bool, u Undo, err error)
 			u.passPrevCC = c.passCC[e.P]
 			u.passPrevDSM = c.passDSM[e.P]
 		}
+		u.keyParts = [2]hash128{c.keyParts[2*e.P], c.keyParts[2*e.P+1]}
+		u.keyMark, u.keyEpoch = c.keyMark, c.keyEpoch
 	}
-	rec, took, err = c.step(e, &u)
+	rec, took, err = c.step(e, u)
 	u.valid = took && err == nil
-	if !u.valid {
-		u = Undo{}
-	}
+	return rec, took, err
+}
+
+// StepUndo is StepInto returning the record by value.
+func (c *Config) StepUndo(e Elem) (rec StepRecord, took bool, u Undo, err error) {
+	rec, took, err = c.StepInto(e, &u)
 	return rec, took, u, err
 }
 
@@ -148,7 +165,7 @@ func (u *Undo) Revert() {
 		return
 	}
 	u.valid = false
-	c, p := u.c, u.p
+	c, p := u.c, int(u.p)
 
 	// The states and buffers this revert replaces go back to the
 	// configuration's spare storage; only the live ones can be replaced,
@@ -171,7 +188,6 @@ func (u *Undo) Revert() {
 		}
 		if u.agePutTouched {
 			c.wbAges[p*c.cacheStride+int(u.agePutReg)] = u.agePutPrev
-			c.wbs[p].dropKey()
 		}
 		if u.agesBumped {
 			// The buffer restore above re-established the pre-step buffered
@@ -183,7 +199,6 @@ func (u *Undo) Revert() {
 					row[r]--
 				}
 			}
-			c.wbs[p].dropKey()
 		}
 		if u.memTouched {
 			c.setMem(u.memReg, u.memPrev)
@@ -196,6 +211,17 @@ func (u *Undo) Revert() {
 		if u.lcTouched {
 			c.lastCommitter[u.lcReg] = u.lcPrev
 		}
+	}
+
+	// The key cache: p's components and the stale mark go back to what
+	// the step found, unless SetReorderBound redefined the buffer
+	// components since.
+	if u.keyEpoch == c.keyEpoch {
+		c.setPart(2*p, u.keyParts[0])
+		c.setPart(2*p+1, u.keyParts[1])
+		c.keyMark = u.keyMark
+	} else {
+		c.keyMark = keyMark{p: allStale}
 	}
 
 	c.stats.restoreRow(p, &u.statsPrev)

@@ -356,10 +356,93 @@ func TestStepUndoRevertStack(t *testing.T) {
 	}
 }
 
+// keyPointsWalk drives one configuration down sched the way the engine's
+// replays and probes use the key cache, not the step-key-revert rhythm of
+// stepUndoWalk: each element is stepped into the next slot of a trail
+// that keeps its reverted records, and between elements rng decides
+// whether to key, to revert a few of the newest steps — past steps that
+// were never keyed — or, while bound is 0, to install reorder bound 1
+// between steps and their reverts. Every key must equal a fresh Clone's.
+func keyPointsWalk(t *testing.T, model Model, bound int, rng *rand.Rand, sched Schedule, progs []*lang.Program) {
+	t.Helper()
+	lay := NewLayout()
+	lay.MustAlloc("regs", 128, OwnedBy)
+	c, err := NewConfig(model, lay, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetReorderBound(bound)
+	var trail []Undo
+	for i, e := range sched {
+		n := len(trail)
+		if n < cap(trail) {
+			trail = trail[:n+1]
+		} else {
+			trail = append(trail, Undo{})
+		}
+		_, took, err := c.StepInto(e, &trail[n])
+		if err != nil {
+			// Interpreter errors abort exploration; nothing more to check.
+			return
+		}
+		if !took {
+			trail = trail[:n]
+		}
+		switch roll := rng.Float64(); {
+		case roll < 0.3:
+			requireFreshKey(t, fmt.Sprintf("key after elem %d (%v), depth %d", i, e, len(trail)), c)
+		case roll < 0.55:
+			for k := 1 + rng.Intn(4); k > 0 && len(trail) > 0; k-- {
+				trail[len(trail)-1].Revert()
+				trail = trail[:len(trail)-1]
+			}
+		case roll < 0.57 && c.ReorderBound() == 0 && model != SC:
+			c.SetReorderBound(1)
+		}
+	}
+	for len(trail) > 0 {
+		trail[len(trail)-1].Revert()
+		trail = trail[:len(trail)-1]
+		if rng.Intn(3) == 0 {
+			requireFreshKey(t, fmt.Sprintf("key while unwinding at depth %d", len(trail)), c)
+		}
+	}
+	requireFreshKey(t, "key at the root", c)
+}
+
+// TestStateKeyAtRandomPoints: the key cache stays exact when keys are
+// taken only at random points of a walk of steps and reverts (see
+// keyPointsWalk), over the undo suite's subjects — the straight-line
+// workers and the recoverable loop — under every model, with reorder
+// bounds 0 and 1 and crash elements. The undo walks above key after every
+// step, which never reaches the paths the engine's replays take: several
+// processes stepped between keys, reverts of unkeyed steps, and records
+// reused in place.
+func TestStateKeyAtRandomPoints(t *testing.T) {
+	subjects := []struct {
+		name  string
+		progs func() []*lang.Program
+	}{{"inc", undoProgs}, {"recycle", recycleProgs}}
+	for _, model := range undoModels {
+		for _, bound := range undoBounds {
+			for _, sub := range subjects {
+				t.Run(fmt.Sprintf("%v/bound=%d/%s", model, bound, sub.name), func(t *testing.T) {
+					for seed := int64(0); seed < 12; seed++ {
+						rng := rand.New(rand.NewSource(seed))
+						keyPointsWalk(t, model, bound, rng, undoElems(rng, 3, 300, 121), sub.progs())
+					}
+				})
+			}
+		}
+	}
+}
+
 // FuzzStepUndoRevert: arbitrary schedule text under an arbitrary model,
 // with and without a reorder bound, must satisfy the revert identity and
-// keep the incremental key equal to a from-scratch one. The corpus seeds
-// cover commits, crash elements and fence drains.
+// keep the incremental key equal to a from-scratch one, both when keyed
+// after every step and when keyed at random points (keyPointsWalk,
+// seeded from the schedule's length). The corpus seeds cover commits,
+// crash elements and fence drains.
 func FuzzStepUndoRevert(f *testing.F) {
 	f.Add("p0 p1 p0:R100 p1:R101 p0 p0 p1", uint8(2))
 	f.Add("p0 p0 p0 p0! p0 p0", uint8(2))
@@ -379,6 +462,8 @@ func FuzzStepUndoRevert(f *testing.F) {
 		fp := &FaultPlan{MaxCrashes: len(sched), Stalls: []StallWindow{{P: 0, Reg: -1, From: 2, To: 9}}}
 		for _, bound := range undoBounds {
 			stepUndoWalk(t, model, bound, fp, sched, undoProgs())
+			rng := rand.New(rand.NewSource(int64(len(sched))))
+			keyPointsWalk(t, model, bound, rng, sched, recycleProgs())
 		}
 	})
 }

@@ -98,31 +98,11 @@ type writeBuffer interface {
 	appendEntries(dst []Write) []Write
 	// at returns entry i (0 <= i < len) in the order entries uses.
 	at(i int) Write
-	// clone returns an independent deep copy, without a cached key.
+	// clone returns an independent deep copy.
 	clone() writeBuffer
 	// reset empties the buffer, keeping its storage.
 	reset()
-	// cachedKey returns the buffer's cached state-key component (see
-	// Config.bufferKey), with ok=false when none is cached.
-	cachedKey() (h hash128, ok bool)
-	// setCachedKey caches the buffer's state-key component.
-	setCachedKey(h hash128)
-	// dropKey discards the cached component. Every mutation above drops
-	// it, and the machine drops it when it changes the reorder ages of
-	// the buffered writes.
-	dropKey()
 }
-
-// keyCache holds a write buffer's cached state-key component, valid iff
-// ok. Both slice-backed buffers embed it.
-type keyCache struct {
-	h  hash128
-	ok bool
-}
-
-func (k *keyCache) cachedKey() (hash128, bool) { return k.h, k.ok }
-func (k *keyCache) setCachedKey(h hash128)     { k.h, k.ok = h, true }
-func (k *keyCache) dropKey()                   { k.ok = false }
 
 // psoBuffer implements the paper's unordered write buffer as a flat slice
 // sorted by register: a register-keyed set. Any buffered write may commit
@@ -130,7 +110,6 @@ func (k *keyCache) dropKey()                   { k.ok = false }
 // appends, drainNext a peek at index 0, and clone a single copy.
 type psoBuffer struct {
 	ws []Write // sorted ascending by Reg, no duplicate registers
-	keyCache
 }
 
 func newPSOBuffer() *psoBuffer { return &psoBuffer{} }
@@ -151,7 +130,6 @@ func (b *psoBuffer) find(r Reg) (int, bool) {
 }
 
 func (b *psoBuffer) put(w Write) (replaced bool, old Value) {
-	b.dropKey()
 	i, ok := b.find(w.Reg)
 	if ok {
 		old = b.ws[i].Val
@@ -165,7 +143,6 @@ func (b *psoBuffer) put(w Write) (replaced bool, old Value) {
 }
 
 func (b *psoBuffer) unput(w Write, replaced bool, old Value) {
-	b.dropKey()
 	i, ok := b.find(w.Reg)
 	if !ok {
 		return
@@ -192,7 +169,6 @@ func (b *psoBuffer) canCommit(r Reg) bool {
 }
 
 func (b *psoBuffer) commit(r Reg) Write {
-	b.dropKey()
 	i, _ := b.find(r)
 	w := b.ws[i]
 	b.ws = append(b.ws[:i], b.ws[i+1:]...)
@@ -200,7 +176,6 @@ func (b *psoBuffer) commit(r Reg) Write {
 }
 
 func (b *psoBuffer) uncommit(w Write) {
-	b.dropKey()
 	i, _ := b.find(w.Reg)
 	b.ws = append(b.ws, Write{})
 	copy(b.ws[i+1:], b.ws[i:])
@@ -238,7 +213,7 @@ func (b *psoBuffer) clone() writeBuffer {
 	return c
 }
 
-func (b *psoBuffer) reset() { b.ws, b.ok = b.ws[:0], false }
+func (b *psoBuffer) reset() { b.ws = b.ws[:0] }
 
 // tsoBuffer implements a FIFO store buffer: only the oldest write may
 // commit, so writes reach memory in program order. A later write to a
@@ -247,13 +222,11 @@ func (b *psoBuffer) reset() { b.ws, b.ok = b.ws[:0], false }
 // invariant the machine's read rule relies on.
 type tsoBuffer struct {
 	q []Write
-	keyCache
 }
 
 func newTSOBuffer() *tsoBuffer { return &tsoBuffer{} }
 
 func (b *tsoBuffer) put(w Write) (replaced bool, old Value) {
-	b.dropKey()
 	for i := range b.q {
 		if b.q[i].Reg == w.Reg {
 			old = b.q[i].Val
@@ -266,7 +239,6 @@ func (b *tsoBuffer) put(w Write) (replaced bool, old Value) {
 }
 
 func (b *tsoBuffer) unput(w Write, replaced bool, old Value) {
-	b.dropKey()
 	if replaced {
 		for i := range b.q {
 			if b.q[i].Reg == w.Reg {
@@ -295,14 +267,12 @@ func (b *tsoBuffer) canCommit(r Reg) bool {
 	return len(b.q) > 0 && b.q[0].Reg == r
 }
 func (b *tsoBuffer) commit(r Reg) Write {
-	b.dropKey()
 	w := b.q[0]
 	copy(b.q, b.q[1:])
 	b.q = b.q[:len(b.q)-1]
 	return w
 }
 func (b *tsoBuffer) uncommit(w Write) {
-	b.dropKey()
 	b.q = append(b.q, Write{})
 	copy(b.q[1:], b.q)
 	b.q[0] = w
@@ -335,12 +305,12 @@ func (b *tsoBuffer) clone() writeBuffer {
 	copy(c.q, b.q)
 	return c
 }
-func (b *tsoBuffer) reset() { b.q, b.ok = b.q[:0], false }
+func (b *tsoBuffer) reset() { b.q = b.q[:0] }
 
 // scBuffer is the degenerate buffer of sequential consistency: the machine
 // commits every write within the same step, so the buffer is always empty
 // between steps. It still implements the interface so the step rules stay
-// uniform. An empty buffer has no key component, so it caches none.
+// uniform.
 type scBuffer struct{}
 
 func (scBuffer) put(Write) (bool, Value)    { return false, 0 }
@@ -358,11 +328,8 @@ func (scBuffer) at(int) Write               { return Write{} }
 func (scBuffer) appendEntries(dst []Write) []Write {
 	return dst
 }
-func (scBuffer) clone() writeBuffer         { return scBuffer{} }
-func (scBuffer) reset()                     {}
-func (scBuffer) cachedKey() (hash128, bool) { return hash128{}, false }
-func (scBuffer) setCachedKey(hash128)       {}
-func (scBuffer) dropKey()                   {}
+func (scBuffer) clone() writeBuffer { return scBuffer{} }
+func (scBuffer) reset()             {}
 
 func newBuffer(m Model) writeBuffer {
 	switch m {

@@ -13,10 +13,12 @@ import (
 // steps > MaxSteps, states when states > MaxStates, then memory; context
 // and wall are re-checked every checkEvery charges), so a single-worker
 // exploration metered through a SharedMeter is bit-identical to one
-// metered through a Meter. With several goroutines the charge order is
-// scheduling-dependent, so which worker observes the trip — and the exact
-// overshoot — is not; callers that need a deterministic trip point run one
-// worker.
+// metered through a Meter, provided it charges a capped resource one unit
+// per call. Units of an uncapped resource may be charged in batches: only
+// the context and wall checks move. With several goroutines the charge
+// order is scheduling-dependent, so which worker observes the trip — and
+// the exact overshoot — is not; callers that need a deterministic trip
+// point run one worker.
 type SharedMeter struct {
 	ctx   context.Context
 	b     Budget
@@ -73,11 +75,8 @@ func (m *SharedMeter) Check() error {
 	return nil
 }
 
-// AddStep charges one step and periodically re-checks context and wall
-// budget.
-func (m *SharedMeter) AddStep() error { return m.AddSteps(1) }
-
-// AddSteps charges n steps.
+// AddSteps charges n steps and periodically re-checks context and wall
+// budget. It keeps the charge when it fails, so Refund gives it back.
 func (m *SharedMeter) AddSteps(n int64) error {
 	steps := m.steps.Add(n)
 	if m.b.MaxSteps > 0 && steps > m.b.MaxSteps {
@@ -89,12 +88,12 @@ func (m *SharedMeter) AddSteps(n int64) error {
 	return nil
 }
 
-// AddState charges one interned state of approximately memEstimate bytes
-// and periodically re-checks context and wall budget. Like AddSteps, it
-// keeps the whole charge when it fails — the state and its bytes — so
-// Refund(0, 1, memEstimate) gives it back.
-func (m *SharedMeter) AddState(memEstimate int64) error {
-	states := m.states.Add(1)
+// AddStates charges n interned states of approximately memEstimate bytes
+// in all and periodically re-checks context and wall budget. Like
+// AddSteps, it keeps the whole charge when it fails — the states and
+// their bytes — so Refund gives it back.
+func (m *SharedMeter) AddStates(n, memEstimate int64) error {
+	states := m.states.Add(n)
 	mem := m.mem.Add(memEstimate)
 	if m.b.MaxStates > 0 && states > int64(m.b.MaxStates) {
 		return &BudgetError{Resource: "states", Limit: int64(m.b.MaxStates), Used: states}
@@ -102,7 +101,7 @@ func (m *SharedMeter) AddState(memEstimate int64) error {
 	if m.b.MaxMemEstimate > 0 && mem > m.b.MaxMemEstimate {
 		return &BudgetError{Resource: "memory", Limit: m.b.MaxMemEstimate, Used: mem}
 	}
-	if m.sinceCk.Add(1) >= checkEvery {
+	if m.sinceCk.Add(n) >= checkEvery {
 		return m.Check()
 	}
 	return nil
